@@ -23,4 +23,5 @@ def test_cluster_scaling(benchmark, scale):
     )
     assert result.summary["silent_corruptions"] == 0
     assert result.summary["drained_clean"] == 1
-    assert result.summary["scaling_ok"] == 1
+    assert result.summary["plateau_ok"] == 1
+    assert result.summary["scaling_ok"] in (1, cluster_scaling.NOT_MEASURED)

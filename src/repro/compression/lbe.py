@@ -32,6 +32,15 @@ studied in Fig 3. Copies may also reference the already-emitted words
 of the line being compressed (self-referential, like any LZ coder), so
 repeated-value lines collapse to a literal plus one copy.
 
+It makes one pass over a single copy space, the window words followed
+by the line words, with one occurrence index per call (each word's
+lowest offset; later offsets come from ``list.index``). A word with no
+earlier occurrence is a literal at once. Window words are unpacked
+directly rather than through the ``line_words`` memo, so windows that
+change on every call do not evict the lines the hot path reuses.
+``tests/test_lbe.py`` pins every block (tokens and ``size_bits``) to
+the original per-word greedy encoder, kept there as the oracle.
+
 The persistent window (default 256 bytes — the paper's LBE256) carries
 across the stream; the CABLE pairing instead seeds a temporary window
 from the reference lines.
@@ -40,7 +49,7 @@ from the reference lines.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.compression.base import CompressedBlock, ReferenceCompressor
 from repro.compression.dictionary import ByteWindow
@@ -51,6 +60,32 @@ from repro.util.words import WORD_BYTES, bytes_to_words, words_to_bytes
 _OP_BITS = 2
 _LEN_BITS = 4
 _MAX_RUN_WORDS = 1 << _LEN_BITS  # lengths 1..16 encoded as 0..15
+
+
+def _literal_tokens(
+    space: Sequence[int], start: int, stop: int, tokens: List[Tuple]
+) -> int:
+    """Append ``space[start:stop]`` as literal tokens; returns their bits.
+
+    The run splits into maximal same-kind chunks of at most 16 words:
+    ``byte`` for words below 256, ``lit`` for the rest.
+    """
+    bits = 0
+    while start < stop:
+        is_byte = space[start] <= 0xFF
+        chunk_end = start + 1
+        chunk_limit = min(start + _MAX_RUN_WORDS, stop)
+        while chunk_end < chunk_limit and (space[chunk_end] <= 0xFF) == is_byte:
+            chunk_end += 1
+        chunk = tuple(space[start:chunk_end])
+        if is_byte:
+            tokens.append(("byte", chunk))
+            bits += _OP_BITS + _LEN_BITS + 8 * len(chunk)
+        else:
+            tokens.append(("lit", chunk))
+            bits += _OP_BITS + _LEN_BITS + 32 * len(chunk)
+        start = chunk_end
+    return bits
 
 
 class LbeCompressor(ReferenceCompressor):
@@ -120,13 +155,16 @@ class LbeCompressor(ReferenceCompressor):
     def _encode(
         self, line: bytes, window: bytes, window_capacity: int
     ) -> Tuple[List[Tuple], int]:
-        # The line's word view is memoized (lines recur across encodes);
-        # the window churns per call, so it stays on the uncached path.
+        # One copy space: the window words, then the line's own words.
+        # Only the line goes through the line_words memo (see the module
+        # docstring).
         words = line_words(line)
-        window_words = bytes_to_words(window) if window else []
-        # The copy space covers the window plus the line's own emitted
-        # prefix; offsets address both, so the pointer width covers
-        # capacity + one line.
+        space = bytes_to_words(window) if window else []
+        here = len(space)  # copy-space index of the next line word
+        space.extend(words)
+        end = len(space)
+        # Offsets address the window plus the line's emitted prefix, so
+        # the pointer width covers capacity + one line.
         off_bits = bits_for(
             max(window_capacity // WORD_BYTES + len(words), 1)
         )
@@ -134,119 +172,66 @@ class LbeCompressor(ReferenceCompressor):
         # per-word literal cost of 32 bits the break-even is below one
         # word except for very large windows, so require the copy to
         # save bits outright.
+        copy_bits = _OP_BITS + off_bits + _LEN_BITS
+        # The occurrence index: each word's lowest offset in the copy
+        # space. Later occurrences are found with space.index, so a
+        # word seen once costs no list and no scan.
+        first = dict(zip(reversed(space), range(end - 1, -1, -1)))
+
         tokens: List[Tuple] = []
         size_bits = 0
-        literals: List[int] = []
-
-        def flush_literals() -> None:
-            nonlocal size_bits
-            run = list(literals)
-            literals.clear()
-            while run:
-                # Split into maximal same-kind (byte vs word) chunks.
-                is_byte = run[0] <= 0xFF
-                chunk: List[int] = []
-                while (
-                    run
-                    and len(chunk) < _MAX_RUN_WORDS
-                    and (run[0] <= 0xFF) == is_byte
-                ):
-                    chunk.append(run.pop(0))
-                if is_byte:
-                    tokens.append(("byte", tuple(chunk)))
-                    size_bits += _OP_BITS + _LEN_BITS + 8 * len(chunk)
-                else:
-                    tokens.append(("lit", tuple(chunk)))
-                    size_bits += _OP_BITS + _LEN_BITS + 32 * len(chunk)
-
-        space = list(window_words)  # window + emitted prefix of the line
-        # Word → ascending offsets index over the copy space, so the
-        # match search only visits offsets whose first word already
-        # matches instead of scanning the whole window per position.
-        occurrences: Dict[int, List[int]] = {}
-        for off, word in enumerate(space):
-            occurrences.setdefault(word, []).append(off)
-
-        def extend_space(run: Sequence[int]) -> None:
-            off = len(space)
-            for word in run:
-                occurrences.setdefault(word, []).append(off)
-                off += 1
-            space.extend(run)
-
-        pos = 0
-        while pos < len(words):
-            zero_len = self._zero_run(words, pos)
-            copy_off, copy_len = self._best_copy(words, pos, space, occurrences)
-            copy_cost_ok = copy_len and (
-                _OP_BITS + off_bits + _LEN_BITS < 32 * copy_len
-            )
-            if zero_len >= copy_len and zero_len > 0:
-                flush_literals()
+        literal_from = here
+        while here < end:
+            word = space[here]
+            off = first[word]
+            if off == here and word:
+                here += 1  # no earlier source and not zero: a literal
+                continue
+            limit = end - here
+            if limit > _MAX_RUN_WORDS:
+                limit = _MAX_RUN_WORDS
+            zero_len = 0
+            if word == 0:
+                zero_len = 1
+                while zero_len < limit and space[here + zero_len] == 0:
+                    zero_len += 1
+            # Longest match among the earlier offsets holding this word
+            # (the window and the line prefix already emitted); ties keep
+            # the lowest offset. A copy may overlap the words it
+            # produces, like LZ77: its source word off + k is then a line
+            # word, so comparing space[off + k] with space[here + k] is
+            # exact. A zero run as long as the limit wins outright.
+            copy_off = 0
+            copy_len = 0
+            if zero_len < limit:
+                while off < here:
+                    length = 1
+                    while (
+                        length < limit
+                        and space[off + length] == space[here + length]
+                    ):
+                        length += 1
+                    if length > copy_len:
+                        copy_off, copy_len = off, length
+                        if length == limit:
+                            break
+                    off = space.index(word, off + 1)
+            if zero_len and zero_len >= copy_len:
+                size_bits += _literal_tokens(space, literal_from, here, tokens)
                 tokens.append(("zero", zero_len))
                 size_bits += _OP_BITS + _LEN_BITS
-                extend_space(words[pos : pos + zero_len])
-                pos += zero_len
-            elif copy_cost_ok:
-                flush_literals()
+                here += zero_len
+                literal_from = here
+            elif copy_len and copy_bits < 32 * copy_len:
+                size_bits += _literal_tokens(space, literal_from, here, tokens)
                 tokens.append(("copy", copy_off, copy_len))
-                size_bits += _OP_BITS + off_bits + _LEN_BITS
-                extend_space(words[pos : pos + copy_len])
-                pos += copy_len
+                size_bits += copy_bits
+                here += copy_len
+                literal_from = here
             else:
-                literals.append(words[pos])
-                extend_space(words[pos : pos + 1])
-                pos += 1
-        flush_literals()
+                here += 1
+        size_bits += _literal_tokens(space, literal_from, here, tokens)
         return tokens, size_bits
-
-    def _zero_run(self, words: Sequence[int], pos: int) -> int:
-        length = 0
-        while (
-            pos + length < len(words)
-            and words[pos + length] == 0
-            and length < _MAX_RUN_WORDS
-        ):
-            length += 1
-        return length
-
-    def _best_copy(
-        self,
-        words: Sequence[int],
-        pos: int,
-        space: Sequence[int],
-        occurrences: Dict[int, List[int]],
-    ) -> Tuple[Optional[int], int]:
-        """Longest match of ``words[pos:]`` anywhere in the copy space
-        (window + emitted prefix). Overlapping copies are allowed and
-        behave like LZ77: the source is read as it is produced.
-
-        *occurrences* indexes the copy space by word value (ascending
-        offsets), so only offsets that already match the first word are
-        extended — identical selections to the full scan, since ties on
-        length resolve to the lowest offset either way."""
-        best_off: Optional[int] = None
-        best_len = 0
-        limit = min(_MAX_RUN_WORDS, len(words) - pos)
-        space_len = len(space)
-        for off in occurrences.get(words[pos], ()):
-            length = 1
-            while length < limit:
-                source_index = off + length
-                if source_index < space_len:
-                    source = space[source_index]
-                else:
-                    # Overlap: source word comes from the part of the
-                    # line this very copy will produce.
-                    source = words[pos + (source_index - space_len)]
-                if source != words[pos + length]:
-                    break
-                length += 1
-            if length > best_len:
-                best_len, best_off = length, off
-                if best_len == limit:
-                    break
-        return best_off, best_len
 
     def _decode(
         self, tokens: Sequence[Tuple], window: bytes, original_size: int
@@ -259,10 +244,13 @@ class LbeCompressor(ReferenceCompressor):
                 space.extend([0] * token[1])
             elif kind == "copy":
                 __, off, length = token
-                for k in range(length):
-                    # Appending as we read makes overlapping copies
-                    # reproduce the encoder's semantics exactly.
-                    space.append(space[off + k])
+                if 0 <= off and off + length <= len(space):
+                    space.extend(space[off : off + length])
+                else:
+                    for k in range(length):
+                        # Appending as we read makes overlapping copies
+                        # reproduce the encoder's semantics exactly.
+                        space.append(space[off + k])
             elif kind in ("lit", "byte"):
                 space.extend(token[1])
             else:  # pragma: no cover - defensive

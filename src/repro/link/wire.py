@@ -29,10 +29,18 @@ For lossy links, :func:`encode_frame`/:func:`decode_frame` wrap the
 payload in a link-layer frame — ``seq(4) | payload | crc(8|16)`` —
 whose CRC detects every single-bit flip and whose sequence tag rejects
 reordered/replayed frames (see :mod:`repro.link.recovery`).
+
+Every transfer crosses these codecs several times, so they cost work
+per field: LBE literal runs, byte runs and raw lines move as one
+:class:`~repro.util.bits.BitWriter`/:class:`~repro.util.bits.BitReader`
+field each, a frame is parsed by one reader, and CRC-16 is
+:func:`binascii.crc_hqx`.
 """
 
 from __future__ import annotations
 
+import binascii
+import struct
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import List, Optional, Tuple
@@ -105,6 +113,11 @@ class WireFormat:
 
 # ---------------------------------------------------------------- LBE
 
+#: Big-endian 32-bit word packers by run length: a literal run of up to
+#: 16 words crosses the wire as one field.
+_BE_WORDS = {count: struct.Struct(f">{count}I") for count in range(1, 17)}
+
+
 def _lbe_encode(tokens, writer: BitWriter, off_bits: int) -> None:
     for token in tokens:
         kind = token[0]
@@ -116,15 +129,14 @@ def _lbe_encode(tokens, writer: BitWriter, off_bits: int) -> None:
             writer.write(token[1], off_bits)
             writer.write(token[2] - 1, 4)
         elif kind == "lit":
+            count = len(token[1])
             writer.write(0b10, 2)
-            writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 32)
+            writer.write(count - 1, 4)
+            writer.write_bytes(_BE_WORDS[count].pack(*token[1]))
         elif kind == "byte":
             writer.write(0b11, 2)
             writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 8)
+            writer.write_bytes(bytes(token[1]))
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown LBE token {kind!r}")
 
@@ -145,11 +157,12 @@ def _lbe_decode(reader: BitReader, off_bits: int, words_per_line: int):
             produced += length
         elif op == 0b10:
             count = reader.read(4) + 1
-            tokens.append(("lit", tuple(reader.read(32) for _ in range(count))))
+            run = reader.read_bytes(4 * count)
+            tokens.append(("lit", _BE_WORDS[count].unpack(run)))
             produced += count
         else:
             count = reader.read(4) + 1
-            tokens.append(("byte", tuple(reader.read(8) for _ in range(count))))
+            tokens.append(("byte", tuple(reader.read_bytes(count))))
             produced += count
     if produced != words_per_line:
         raise CorruptPayloadError(
@@ -520,35 +533,42 @@ def _parse_payload(
 #: Frame sequence-tag width (reorder/replay detection window of 16).
 FRAME_SEQ_BITS = 4
 
-_CRC_PARAMS = {8: (0x07, 0xFF), 16: (0x1021, 0xFFFF)}  # width: (poly, init)
-_CRC_TABLES: dict = {}
+#: Supported frame CRC widths: CRC-8 (poly 0x07, init 0xFF) and
+#: CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+_CRC_WIDTHS = (8, 16)
 
 
-def _crc_table(width: int):
-    table = _CRC_TABLES.get(width)
-    if table is None:
-        poly, __ = _CRC_PARAMS[width]
-        top = 1 << (width - 1)
-        mask = (1 << width) - 1
-        table = []
-        for byte in range(256):
-            crc = byte << (width - 8)
-            for _ in range(8):
-                crc = ((crc << 1) ^ poly) if crc & top else (crc << 1)
-            table.append(crc & mask)
-        _CRC_TABLES[width] = table = tuple(table)
-    return table
+def _crc8_table():
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) if crc & 0x80 else (crc << 1)
+        table.append(crc & 0xFF)
+    return tuple(table)
+
+
+_CRC8_TABLE = _crc8_table()
 
 
 def _bit_prefix(data: bytes, bits: int) -> bytes:
     """The first *bits* bits of *data*, zero-padded to a byte — the
     exact bytes :meth:`BitWriter.getvalue` produces for that prefix."""
     nbytes = (bits + 7) // 8
-    chunk = bytearray(data[:nbytes])
+    prefix = bytes(data[:nbytes])
     pad = nbytes * 8 - bits
     if pad and nbytes:
-        chunk[-1] &= (0xFF << pad) & 0xFF
-    return bytes(chunk)
+        return prefix[:-1] + bytes((prefix[-1] & (0xFF << pad) & 0xFF,))
+    return prefix
+
+
+def _trailing_field(data: bytes, end_bit: int, width: int) -> int:
+    """The *width*-bit field that ends at bit *end_bit* of *data* (a
+    frame's CRC), read from the bytes it spans."""
+    first = (end_bit - width) // 8
+    last = (end_bit + 7) // 8
+    span = int.from_bytes(data[first:last], "big")
+    return (span >> (last * 8 - end_bit)) & ((1 << width) - 1)
 
 
 def frame_crc(data: bytes, bits: int, width: int = 16) -> int:
@@ -558,16 +578,17 @@ def frame_crc(data: bytes, bits: int, width: int = 16) -> int:
     (where zero padding alone could alias) still fails its check. The
     generator polynomials (CRC-8 0x07, CRC-16-CCITT 0x1021) detect
     every single-bit and every double-bit error at these frame sizes.
+    CRC-16 is :func:`binascii.crc_hqx` (CRC-16/CCITT-FALSE from init
+    0xFFFF); CRC-8 runs the table loop.
     """
-    if width not in _CRC_PARAMS:
+    if width not in _CRC_WIDTHS:
         raise ValueError(f"unsupported CRC width {width}")
-    table = _crc_table(width)
-    __, init = _CRC_PARAMS[width]
-    mask = (1 << width) - 1
-    shift = width - 8
-    crc = init
-    for byte in _bit_prefix(data, bits) + bits.to_bytes(4, "big"):
-        crc = ((crc << 8) ^ table[((crc >> shift) ^ byte) & 0xFF]) & mask
+    message = _bit_prefix(data, bits) + bits.to_bytes(4, "big")
+    if width == 16:
+        return binascii.crc_hqx(message, 0xFFFF)
+    crc = 0xFF
+    for byte in message:
+        crc = _CRC8_TABLE[crc ^ byte]
     return crc
 
 
@@ -632,9 +653,7 @@ def decode_frame(
             f"frame of {bit_count} bits cannot hold seq+payload+crc"
         )
     prefix_bits = bit_count - crc_bits
-    stored = BitReader(data, bit_count)
-    stored.seek(prefix_bits)  # jump to the trailing CRC field
-    received_crc = stored.read(crc_bits)
+    received_crc = _trailing_field(data, bit_count, crc_bits)
     computed = frame_crc(data, prefix_bits, crc_bits)
     if received_crc != computed:
         raise CrcMismatchError(
@@ -840,9 +859,7 @@ def decode_epoch_frame(
             f"epoch frame of {bit_count} bits, expected {expected}"
         )
     prefix_bits = bit_count - crc_bits
-    stored = BitReader(data, bit_count)
-    stored.seek(prefix_bits)
-    received_crc = stored.read(crc_bits)
+    received_crc = _trailing_field(data, bit_count, crc_bits)
     computed = frame_crc(data, prefix_bits, crc_bits)
     if received_crc != computed:
         raise CrcMismatchError(

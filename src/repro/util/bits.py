@@ -6,6 +6,13 @@ codes of 2–34 bits...). :class:`BitWriter` and :class:`BitReader`
 provide exact MSB-first bit streams so every engine in
 :mod:`repro.compression` can both *account* bits and *round-trip*
 real encodings in tests.
+
+Both hold the whole stream in one Python int, so they cost work per
+*field*, not per bit: a write is one checked shift-or, a read one shift
+and mask, and byte strings move as a single field either way. The
+reader converts its bytes once, with :meth:`int.from_bytes`, when it is
+built. ``tests/test_util_bits.py`` pins both against a bit-serial
+reader kept there as the oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ def bits_for(value_count: int) -> int:
 class BitWriter:
     """Append-only MSB-first bit buffer."""
 
+    __slots__ = ("_acc", "_bit_count")
+
     def __init__(self) -> None:
-        self._chunks: list = []  # (value, width) pairs
+        self._acc = 0  # every bit written so far, last field lowest
         self._bit_count = 0
 
     def write(self, value: int, width: int) -> None:
@@ -36,16 +45,18 @@ class BitWriter:
             return
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        self._chunks.append((value, width))
+        self._acc = (self._acc << width) | value
         self._bit_count += width
 
     def write_bytes(self, data: bytes) -> None:
-        for byte in data:
-            self.write(byte, 8)
+        """Append *data* as ``8 * len(data)`` bits, one field."""
+        width = 8 * len(data)
+        self._acc = (self._acc << width) | int.from_bytes(data, "big")
+        self._bit_count += width
 
     def extend(self, other: "BitWriter") -> None:
         """Append every bit another writer holds (frame composition)."""
-        self._chunks.extend(other._chunks)
+        self._acc = (self._acc << other._bit_count) | other._acc
         self._bit_count += other._bit_count
 
     @property
@@ -54,44 +65,37 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Pack the stream into bytes, zero-padded to a byte boundary."""
-        acc = 0
-        for value, width in self._chunks:
-            acc = (acc << width) | value
         pad = (-self._bit_count) % 8
-        acc <<= pad
-        total_bytes = (self._bit_count + pad) // 8
-        return acc.to_bytes(total_bytes, "big") if total_bytes else b""
+        return (self._acc << pad).to_bytes((self._bit_count + pad) // 8, "big")
 
 
 class BitReader:
     """MSB-first reader over bytes produced by :class:`BitWriter`."""
 
+    __slots__ = ("_value", "_total", "_pos", "_limit")
+
     def __init__(self, data: bytes, bit_count: int = None) -> None:
-        self._data = data
+        self._total = len(data) * 8
         self._pos = 0
-        self._limit = len(data) * 8 if bit_count is None else bit_count
-        if self._limit > len(data) * 8:
+        self._limit = self._total if bit_count is None else bit_count
+        if self._limit > self._total:
             raise ValueError("bit_count exceeds available data")
+        self._value = int.from_bytes(data, "big")
 
     def read(self, width: int) -> int:
         if width < 0:
             raise ValueError("width must be non-negative")
         if width == 0:
             return 0
-        if self._pos + width > self._limit:
+        end = self._pos + width
+        if end > self._limit:
             raise EOFError("bit stream exhausted")
-        value = 0
-        pos = self._pos
-        for _ in range(width):
-            byte = self._data[pos >> 3]
-            bit = (byte >> (7 - (pos & 7))) & 1
-            value = (value << 1) | bit
-            pos += 1
-        self._pos = pos
-        return value
+        self._pos = end
+        return (self._value >> (self._total - end)) & ((1 << width) - 1)
 
     def read_bytes(self, count: int) -> bytes:
-        return bytes(self.read(8) for _ in range(count))
+        """Read ``8 * count`` bits as one field, returned as bytes."""
+        return self.read(8 * count).to_bytes(count, "big")
 
     def seek(self, bit_position: int) -> None:
         """Jump to an absolute bit position (frame field access)."""

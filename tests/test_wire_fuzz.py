@@ -15,7 +15,7 @@ Two layers, two contracts:
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.setassoc import LineId
 from repro.compression.registry import make_engine
@@ -26,6 +26,7 @@ from repro.link.wire import (
     decode_frame,
     decode_payload,
     encode_frame,
+    frame_crc,
 )
 from repro.util.words import words_to_bytes
 
@@ -72,10 +73,10 @@ def build_payload(engine_name, line, refcount):
     )
 
 
-def build_frame(engine_name, words, refcount, seq=0):
+def build_frame(engine_name, words, refcount, seq=0, crc_bits=16):
     line = words_to_bytes(words)
     payload = build_payload(engine_name, line, refcount)
-    writer = encode_frame(payload, FMT, engine_name, seq=seq)
+    writer = encode_frame(payload, FMT, engine_name, seq=seq, crc_bits=crc_bits)
     return payload, writer.getvalue(), writer.bit_count
 
 
@@ -85,6 +86,11 @@ def flip_bit(data, bit):
     return bytes(damaged)
 
 
+#: Frame CRC widths a RecoveryPolicy may negotiate. CRC-16 comes from
+#: binascii.crc_hqx and CRC-8 from the table loop, so both are fuzzed.
+crc_widths = st.sampled_from((8, 16))
+
+
 class TestFrameFuzz:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -92,12 +98,16 @@ class TestFrameFuzz:
         words=line_words,
         refcount=st.integers(0, 2),
         where=fraction,
+        crc_bits=crc_widths,
     )
-    def test_single_bit_flip_always_detected(self, engine, words, refcount, where):
-        __, frame, bits = build_frame(engine, words, refcount)
+    @example(engine="lbe", words=[7] * 16, refcount=1, where=0.5, crc_bits=8)
+    def test_single_bit_flip_always_detected(
+        self, engine, words, refcount, where, crc_bits
+    ):
+        __, frame, bits = build_frame(engine, words, refcount, crc_bits=crc_bits)
         damaged = flip_bit(frame, int(where * bits))
         with pytest.raises(WireDecodeError):
-            decode_frame(damaged, bits, engine, FMT)
+            decode_frame(damaged, bits, engine, FMT, crc_bits=crc_bits)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -105,12 +115,18 @@ class TestFrameFuzz:
         words=line_words,
         refcount=st.integers(0, 2),
         where=fraction,
+        crc_bits=crc_widths,
     )
-    def test_truncation_always_detected(self, engine, words, refcount, where):
-        __, frame, bits = build_frame(engine, words, refcount)
+    @example(engine="lbe", words=[7] * 16, refcount=1, where=0.9, crc_bits=8)
+    def test_truncation_always_detected(
+        self, engine, words, refcount, where, crc_bits
+    ):
+        __, frame, bits = build_frame(engine, words, refcount, crc_bits=crc_bits)
         kept = int(where * bits)
         with pytest.raises(WireDecodeError):
-            decode_frame(frame[: (kept + 7) // 8], kept, engine, FMT)
+            decode_frame(
+                frame[: (kept + 7) // 8], kept, engine, FMT, crc_bits=crc_bits
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -118,10 +134,16 @@ class TestFrameFuzz:
         words=line_words,
         refcount=st.integers(0, 2),
         seq=st.integers(0, 15),
+        crc_bits=crc_widths,
     )
-    def test_clean_frame_roundtrips(self, engine, words, refcount, seq):
-        payload, frame, bits = build_frame(engine, words, refcount, seq=seq)
-        got_seq, decoded = decode_frame(frame, bits, engine, FMT, expected_seq=seq)
+    @example(engine="lbe", words=[7] * 16, refcount=1, seq=3, crc_bits=8)
+    def test_clean_frame_roundtrips(self, engine, words, refcount, seq, crc_bits):
+        payload, frame, bits = build_frame(
+            engine, words, refcount, seq=seq, crc_bits=crc_bits
+        )
+        got_seq, decoded = decode_frame(
+            frame, bits, engine, FMT, crc_bits=crc_bits, expected_seq=seq
+        )
         assert got_seq == seq
         assert decoded.kind is payload.kind
         assert decoded.remote_lids == payload.remote_lids
@@ -135,6 +157,38 @@ class TestFrameFuzz:
         else:
             decoder.reset()
             assert decoder.decompress(decoded.block) == line
+
+
+def table_crc(data, bits, width):
+    """The MSB-first table-driven CRC loop ``frame_crc`` used for both
+    widths before CRC-16 moved to ``binascii.crc_hqx``: the oracle."""
+    poly, crc = {8: (0x07, 0xFF), 16: (0x1021, 0xFFFF)}[width]
+    top, mask, shift = 1 << (width - 1), (1 << width) - 1, width - 8
+    table = []
+    for byte in range(256):
+        value = byte << shift
+        for _ in range(8):
+            value = ((value << 1) ^ poly) if value & top else (value << 1)
+        table.append(value & mask)
+    nbytes = (bits + 7) // 8
+    prefix = bytearray(data[:nbytes])
+    if nbytes * 8 - bits:
+        prefix[-1] &= (0xFF << (nbytes * 8 - bits)) & 0xFF
+    for byte in bytes(prefix) + bits.to_bytes(4, "big"):
+        crc = ((crc << 8) ^ table[((crc >> shift) ^ byte) & 0xFF]) & mask
+    return crc
+
+
+class TestFrameCrc:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=96), where=fraction, width=crc_widths)
+    def test_matches_table_loop(self, data, where, width):
+        bits = int(where * (len(data) * 8 + 1))
+        assert frame_crc(data, bits, width) == table_crc(data, bits, width)
+
+    def test_unsupported_width_rejected(self):
+        with pytest.raises(ValueError):
+            frame_crc(b"\x00", 8, 32)
 
 
 class TestBdiUnsignedBase:

@@ -50,15 +50,21 @@ EXPERIMENTS_MD = ROOT / "EXPERIMENTS.md"
 # ======================================================================
 
 
+#: Summary value of a verdict the run could not measure (e.g.
+#: ``scaling_ok`` on a host with too few cores for an in-core row).
+NOT_MEASURED = "—"
+
+
 def parse_summary(line):
-    """'summary: a=1, b=2.5' -> {'a': 1.0, 'b': 2.5}."""
+    """'summary: a=1, b=2.5, c=—' -> {'a': 1.0, 'b': 2.5, 'c': '—'}."""
     fields = {}
     for part in line.split(":", 1)[1].split(","):
         key, _, value = part.strip().partition("=")
         try:
             fields[key] = float(value)
         except ValueError:
-            pass
+            if value == NOT_MEASURED:
+                fields[key] = value
     return fields
 
 
@@ -144,8 +150,12 @@ def check_cluster(summary):
 
 
 def check_cluster_scaling(summary):
-    if summary.get("scaling_ok") != 1:
-        yield "throughput did not scale (or collapsed past the core count)"
+    if summary.get("plateau_ok") != 1:
+        yield "throughput collapsed once workers oversubscribed the cores"
+    if "scaling_ok" not in summary:
+        yield "scaling verdict missing (1, 0 or — for not measured)"
+    elif summary["scaling_ok"] not in (1, NOT_MEASURED):
+        yield "throughput did not scale across the in-core rows"
     if summary.get("silent_corruptions") != 0:
         yield "silent_corruptions must be 0"
     if summary.get("drained_clean") != 1:
