@@ -192,48 +192,3 @@ def test_encode_recurrent(benchmark):
     benchmark(run)
     rate = _record(benchmark, "encode_recurrent", len(stream), "lines/s")
     assert rate > 0
-
-
-def test_encode_recurrent_batch(benchmark):
-    """``encode_batch()`` over the same recurrent stream (lines/s).
-
-    Runs *after* ``test_encode_recurrent`` so the scalar row keeps its
-    historical measurement conditions; the batch encoder is warmed
-    with one full pass so the generation-guarded cross-block result
-    cache answers in steady state — the regime a simulation lives in.
-    Before timing, the run proves byte-identity against a twin scalar
-    encoder and archives the deterministic verdict to
-    ``hotpath_batch.txt`` (CI's ``check_experiments_md.py`` gates on
-    it; the rates themselves stay machine-dependent and unchecked).
-    """
-    encoder = _build_encoder()
-    scalar = _build_encoder()
-    stream = make_lines(_STREAM_LINES, seed=11)
-    items = [(0, data, None) for data in stream]
-    batch_out = encoder.encode_batch(items)  # warm full pass
-    scalar_out = [scalar.encode(0, data, None) for data in stream]
-    identical = int(
-        [o.payload for o in batch_out] == [o.payload for o in scalar_out]
-    )
-    stats_identical = int(
-        encoder.stats == scalar.stats
-        and encoder.hash_table.stats == scalar.hash_table.stats
-        and encoder.wmt.stats == scalar.wmt.stats
-        and encoder.home_cache.stats == scalar.home_cache.stats
-    )
-
-    def run():
-        encoder.encode_batch(items)
-
-    benchmark(run)
-    rate = _record(benchmark, "encode_recurrent_batch", len(stream), "lines/s")
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "hotpath_batch.txt").write_text(
-        "batched encode vs scalar (deterministic equivalence verdict)\n"
-        f"summary: lines={len(stream)}, block_size="
-        f"{encoder.config.batch_block_size}, scalar_identical={identical}, "
-        f"stats_identical={stats_identical}\n"
-    )
-    assert identical == 1
-    assert stats_identical == 1
-    assert rate > 0

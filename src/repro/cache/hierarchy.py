@@ -123,7 +123,6 @@ class InclusivePair:
             hit = self.remote.lookup(line_addr, touch=False)
             if hit is not None:
                 hit[1].data = write_data
-                self.remote.generation += 1
         return outcome
 
     def _access_inner(self, line_addr: int, is_write: bool) -> AccessOutcome:
@@ -135,13 +134,11 @@ class InclusivePair:
                 # Shared → Modified upgrade: the home copy goes stale.
                 line.dirty = True
                 line.state = CoherenceState.MODIFIED
-                self.remote.generation += 1
                 home_hit = self.home.lookup(line_addr, touch=False)
                 outcome = AccessOutcome(remote_hit=True)
                 if home_hit is not None:
                     hway, hline = home_hit
                     hline.state = CoherenceState.MODIFIED
-                    self.home.generation += 1
                     self._emit(
                         TransferEvent(
                             kind="upgrade",
@@ -173,7 +170,6 @@ class InclusivePair:
         # now hold identical data, MODIFIED (stale at home) when the
         # remote takes ownership for a write.
         home_line.state = state
-        self.home.generation += 1
         fill = TransferEvent(
             kind="fill",
             line_addr=line_addr,
@@ -253,7 +249,6 @@ class InclusivePair:
             # After the write-back the home copy is current and the
             # remote copy is gone: exclusive at home, dirty to DRAM.
             hline.state = CoherenceState.EXCLUSIVE
-            self.home.generation += 1
             home_lid = self.home.lineid(self.home.index_of(evicted_addr), hway)
         else:
             # Inclusivity means this should not happen; installing

@@ -103,13 +103,6 @@ class SetAssociativeCache:
         ]
         self._clock = 0
         self.stats = {"hits": 0, "misses": 0, "evictions": 0, "data_reads": 0}
-        #: Bumped on every content mutation (install/invalidate/evict
-        #: and the in-place line updates the inclusive pair performs).
-        #: The batched search pipeline keys its cross-block result
-        #: cache on this: search outcomes depend only on line
-        #: data/state/tag, so an unchanged generation proves cached
-        #: results are still byte-identical to a fresh search.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -183,7 +176,6 @@ class SetAssociativeCache:
         if victim is not None:
             self.stats["evictions"] += 1
         self._clock += 1
-        self.generation += 1
         self._sets[index][way] = CacheLine(
             tag=self.geometry.tag_of(line_addr),
             data=data,
@@ -201,7 +193,6 @@ class SetAssociativeCache:
             return None
         way, line = hit
         self._sets[self.index_of(line_addr)][way] = None
-        self.generation += 1
         return line
 
     def evict_lineid(self, lid: LineId) -> Optional[CacheLine]:
@@ -209,7 +200,6 @@ class SetAssociativeCache:
         index, way = lid.unpack(self.geometry.way_bits)
         line = self._sets[index][way]
         self._sets[index][way] = None
-        self.generation += 1
         return line
 
     # ------------------------------------------------------------------

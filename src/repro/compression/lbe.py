@@ -121,6 +121,8 @@ class LbeCompressor(ReferenceCompressor):
         return CompressedBlock(self.name, size_bits, len(line), tuple(tokens))
 
     def decompress(self, block: CompressedBlock) -> bytes:
+        if not self.persistent:
+            self._window.clear()
         line = self._decode(block.tokens, self._window.data, block.original_size)
         self._window.append(line)
         return line

@@ -50,11 +50,6 @@ class CableConfig:
     #: ranking) or "top" (naive: highest individual CBVs, ignoring
     #: overlap) — an ablation of the §III-C design choice.
     ranking_policy: str = "greedy"
-    #: Lines per block for the batched encode entry points
-    #: (``encode_batch`` / ``search_batch``). Purely a throughput knob:
-    #: the batched paths are byte-identical to the scalar pipeline at
-    #: any block size.
-    batch_block_size: int = 64
 
     # --- compression & transmission (§III-E) ---------------------------
     #: Engine paired with CABLE ("lbe", "cpack", "cpack128", "gzip",
@@ -116,8 +111,6 @@ class CableConfig:
             raise ValueError("hash_table_scale must be positive")
         if self.ranking_policy not in ("greedy", "top"):
             raise ValueError("ranking_policy must be 'greedy' or 'top'")
-        if self.batch_block_size < 1:
-            raise ValueError("batch_block_size must be at least one line")
         if self.eviction_buffer_policy not in ("drop-oldest", "strict"):
             raise ValueError(
                 "eviction_buffer_policy must be 'drop-oldest' or 'strict'"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from time import perf_counter_ns
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.cache.setassoc import LineId, SetAssociativeCache
@@ -36,6 +36,7 @@ from repro.link.wire import wire_format_for
 from repro.obs.registry import METRICS
 from repro.obs.report import publish_kernel_gauges
 from repro.obs.tracer import trace
+from repro.tune.plan import GEOMETRY_KNOBS, TUNABLE_KNOBS
 
 __all__ = [
     "CableHomeEncoder",
@@ -103,10 +104,6 @@ class CableHomeEncoder:
             self.hash_table,
             home_cache,
             self._referencable,
-            referencable_replay=self.wmt.replay_translation,
-            # Referencability is a pure function of WMT contents, so the
-            # WMT generation witnesses it for the cross-block cache.
-            referencable_generation=lambda: self.wmt.generation,
         )
         self.stats = {
             "encodes": 0,
@@ -125,7 +122,7 @@ class CableHomeEncoder:
             for kind in PayloadKind
         }
         self._ctr_indexed = METRICS.counter("signature.lines_indexed")
-        publish_kernel_gauges(block_size=config.batch_block_size)
+        publish_kernel_gauges()
 
     def _referencable(self, home_lid: LineId) -> Optional[LineId]:
         """A home line is referencable iff the WMT proves it resides in
@@ -180,68 +177,6 @@ class CableHomeEncoder:
             self._stage_encode.observe(perf_counter_ns() - t0)
             self._ctr_kinds[payload.kind.value].inc()
         return EncodeOutcome(payload=payload, search=search)
-
-    def encode_batch(
-        self,
-        items: Sequence[Tuple[int, bytes, Optional[LineId]]],
-        block_size: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> List[EncodeOutcome]:
-        """Compress a block of outbound lines at once.
-
-        *items* are ``(line_addr, data, home_lid)`` triples — the same
-        arguments :meth:`encode` takes — processed in blocks of
-        *block_size* lines (default: ``config.batch_block_size``).
-        Byte-identical to calling :meth:`encode` per item, including
-        every stats side effect; only throughput differs. *backend*
-        pins the batch-kernel leg for tests.
-        """
-        config = self.config
-        if block_size is None:
-            block_size = config.batch_block_size
-        threshold = config.no_reference_threshold
-        remotelid_bits = config.remotelid_bits
-        compress = self.engine.compress_with_references
-        search_batch = self.pipeline.search_batch
-        stats = self.stats
-        enabled = self._obs.enabled
-        outcomes: List[EncodeOutcome] = []
-        for start in range(0, len(items), block_size):
-            block_items = items[start : start + block_size]
-            searches = search_batch(
-                [item[1] for item in block_items],
-                [item[2] for item in block_items],
-                backend=backend,
-            )
-            encodes = 0
-            reference_count = 0
-            kind_counts = {kind: 0 for kind in PayloadKind}
-            for (line_addr, data, _home_lid), search in zip(block_items, searches):
-                no_ref = compress(data, ())
-                with_refs = None
-                refs = search.references
-                if refs:
-                    block = compress(data, [r.data for r in refs])
-                    with_refs = (
-                        block,
-                        tuple(r.remote_lid for r in refs),
-                        tuple(r.line_addr for r in refs),
-                    )
-                payload = choose_payload(
-                    line_addr, data, with_refs, no_ref, threshold, remotelid_bits
-                )
-                encodes += 1
-                kind_counts[payload.kind] += 1
-                reference_count += len(payload.remote_lids)
-                if enabled:
-                    self._ctr_kinds[payload.kind.value].inc()
-                outcomes.append(EncodeOutcome(payload=payload, search=search))
-            stats["encodes"] += encodes
-            stats["reference_count"] += reference_count
-            for kind, kind_count in kind_counts.items():
-                if kind_count:
-                    stats[kind.value] += kind_count
-        return outcomes
 
     # ------------------------------------------------------------------
     # Write-back path (remote → home): decode using the WMT
@@ -359,9 +294,6 @@ class CableRemoteDecoder:
             self.hash_table,
             remote_cache,
             self._referencable,
-            # The identity translation is stateless: a constant
-            # generation keeps the cross-block cache valid forever.
-            referencable_generation=lambda: 0,
         )
         self.stats = {"decodes": 0, "rescued_references": 0, "writeback_encodes": 0}
         self._obs = METRICS
@@ -949,28 +881,16 @@ class CableLinkPair:
     #: Config fields :meth:`apply_config` may change on a live pair.
     #: Everything else is baked into construction (cache geometry,
     #: fault/recovery/durability wiring, the H3 matrices behind
-    #: ``hash_seed``) and would need a rebuild, not a knob turn.
-    _TUNABLE = frozenset(
-        {
-            "signature_offsets",
-            "signatures_per_line",
-            "trivial_threshold_bits",
-            "hash_table_scale",
-            "hash_bucket_entries",
-            "data_access_count",
-            "max_references",
-            "ranking_policy",
-            "no_reference_threshold",
-            "engine",
-            "batch_block_size",
-        }
-    )
+    #: ``hash_seed``) and would need a rebuild, not a knob turn. The
+    #: knob sets are owned by :mod:`repro.tune.plan`, so an arm can
+    #: only name knobs this method accepts.
+    _TUNABLE = TUNABLE_KNOBS - {"enabled"}
     #: Fields whose change invalidates memoized *index* signatures.
     _INDEX_MEMO_FIELDS = frozenset(
         {"signature_offsets", "signatures_per_line", "trivial_threshold_bits"}
     )
     #: Fields that re-shape the signature hash tables.
-    _GEOMETRY_FIELDS = frozenset({"hash_table_scale", "hash_bucket_entries"})
+    _GEOMETRY_FIELDS = GEOMETRY_KNOBS
 
     def apply_knobs(self, **overrides) -> frozenset:
         """Convenience wrapper: ``apply_config`` from keyword overrides."""
@@ -1018,9 +938,6 @@ class CableLinkPair:
                 endpoint.extractor._index_memo.clear()
             if "trivial_threshold_bits" in changed:
                 endpoint.extractor._search_memo.clear()
-            # The result cache's generation triple cannot witness a
-            # config change — always drop it.
-            endpoint.pipeline.invalidate_result_cache()
         if "engine" in changed:
             self.home_encoder.engine = _make_reference_engine(target.engine)
             self.remote_decoder.engine = _make_reference_engine(target.engine)

@@ -44,11 +44,6 @@ class SignatureHashTable:
         self.bucket_entries = bucket_entries
         self._mask = self.entries - 1
         self._buckets: Dict[int, List[LineId]] = {}
-        #: Bumped on every bucket mutation. The batched search keys its
-        #: cross-block result cache on this: an unchanged generation
-        #: proves every bucket is exactly as it was, so cached probe
-        #: outcomes are still byte-identical to fresh lookups.
-        self.generation = 0
         self.stats = {
             "inserts": 0,
             "bucket_evictions": 0,
@@ -94,7 +89,6 @@ class SignatureHashTable:
         if lid in bucket:
             bucket.remove(lid)
         bucket.append(lid)
-        self.generation += 1
         self.stats["inserts"] += 1
         if METRICS.enabled:
             _CTR_INSERTS.inc()
@@ -116,7 +110,6 @@ class SignatureHashTable:
         bucket = self._buckets.get(slot)
         if bucket and lid in bucket:
             bucket.remove(lid)
-            self.generation += 1
             self.stats["removals"] += 1
             if self.journal is not None:
                 self.journal("hash_remove", signature, int(lid))
@@ -132,13 +125,10 @@ class SignatureHashTable:
             while lid in bucket:
                 bucket.remove(lid)
                 removed += 1
-        if removed:
-            self.generation += 1
         return removed
 
     def clear(self) -> None:
         self._buckets.clear()
-        self.generation += 1
 
     def reconfigure(self, entries: int, bucket_entries: int) -> None:
         """Re-shape the table in place (online knob tuning, §IV-D sweep).
@@ -158,7 +148,6 @@ class SignatureHashTable:
         self.bucket_entries = bucket_entries
         self._mask = self.entries - 1
         self._buckets.clear()
-        self.generation += 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -173,29 +162,6 @@ class SignatureHashTable:
             self.stats["hits"] += 1
             return tuple(bucket)
         return ()
-
-    def lookup_block(self, signatures) -> List[Tuple[LineId, ...]]:
-        """Buckets for many (distinct) signatures, stats untouched.
-
-        The batched search probes each distinct signature once and
-        replays the per-probe accounting through :meth:`count_probes`,
-        so the stats dict ends up exactly where per-signature
-        :meth:`lookup` calls would have left it.
-        """
-        get = self._buckets.get
-        slot = self._slot
-        out: List[Tuple[LineId, ...]] = []
-        for signature in signatures:
-            bucket = get(slot(signature))
-            out.append(tuple(bucket) if bucket else ())
-        return out
-
-    def count_probes(self, lookups: int, hits: int) -> None:
-        """Roll up the accounting for *lookups* probes, *hits* of which
-        found a non-empty bucket (batched-search companion of
-        :meth:`lookup_block`)."""
-        self.stats["lookups"] += lookups
-        self.stats["hits"] += hits
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self._buckets.values())
@@ -269,8 +235,6 @@ class SignatureHashTable:
                 f"{len(data) - offset} trailing bytes in hash-table snapshot"
             )
         self._buckets = buckets
-        self.generation += 1
 
     def reset_state(self) -> None:
         self._buckets.clear()
-        self.generation += 1

@@ -24,7 +24,6 @@ naturally dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -33,16 +32,7 @@ from repro.core.config import CableConfig
 from repro.core.hashtable import SignatureHashTable
 from repro.core.signature import SignatureExtractor
 from repro.obs.registry import METRICS
-from repro.util.kernels import (
-    DATACLASS_SLOTS,
-    batch_backend,
-    get_numpy,
-    line_match_mask,
-    match_mask,
-    match_mask_rows,
-    popcount32,
-    popcount_array,
-)
+from repro.util.kernels import DATACLASS_SLOTS, line_match_mask, match_mask, popcount32
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -134,39 +124,15 @@ class SearchPipeline:
         hash_table: SignatureHashTable,
         home_cache: SetAssociativeCache,
         referencable: Callable[[LineId], Optional[LineId]],
-        referencable_replay: Optional[Callable[[bool, int], None]] = None,
-        referencable_generation: Optional[Callable[[], int]] = None,
     ) -> None:
         """``referencable(home_lid)`` must return the RemoteLID when the
         home line may seed decompression (clean, shared, resident in the
-        remote cache per the WMT), else None.
-
-        ``referencable_replay(hit, count=1)``, when given, re-counts
-        *count* translations whose outcome is already known; the batched
-        search uses it to resolve each distinct candidate once per block
-        while keeping the translation stats identical to per-candidate
-        ``referencable`` calls. Without it the batch legs simply call
-        ``referencable`` once per occurrence, exactly like the scalar
-        path.
-
-        ``referencable_generation()``, when given, must return a value
-        that changes whenever ``referencable``'s outcomes could change
-        (the encoder passes the WMT generation). It unlocks the
-        *cross-block* result cache: together with the hash-table and
-        cache generations it proves that a previously computed
-        per-line result is still byte-identical, so repeated lines skip
-        the whole pipeline and only replay their stats."""
+        remote cache per the WMT), else None."""
         self.config = config
         self.extractor = extractor
         self.hash_table = hash_table
         self.home_cache = home_cache
         self.referencable = referencable
-        self.referencable_replay = referencable_replay
-        self.referencable_generation = referencable_generation
-        # Cross-block result cache: (line, exclude) → cached outcome,
-        # valid only while the generation triple is unchanged.
-        self._line_cache: Dict[Tuple[bytes, Optional[LineId]], tuple] = {}
-        self._line_cache_gen: Optional[tuple] = None
         # Pre-bound instruments: the hot path records with inline
         # perf_counter_ns pairs, never the context-manager tracer.
         self._obs = METRICS
@@ -175,27 +141,12 @@ class SearchPipeline:
         self._stage_prerank = METRICS.stage("search.prerank")
         self._stage_cbv = METRICS.stage("search.cbv")
         self._stage_select = METRICS.stage("search.select")
-        self._stage_batch_extract = METRICS.stage("search.batch.extract")
-        self._stage_batch_probe = METRICS.stage("search.batch.probe")
-        self._stage_batch_rank = METRICS.stage("search.batch.rank")
-        self._stage_batch_resolve = METRICS.stage("search.batch.resolve")
-        self._stage_batch_select = METRICS.stage("search.batch.select")
         self._ctr_searches = METRICS.counter("search.searches")
         self._ctr_signature_hits = METRICS.counter("search.signature_hits")
         self._ctr_candidates = METRICS.counter("search.candidates")
         self._ctr_data_reads = METRICS.counter("search.data_reads")
         self._ctr_references = METRICS.counter("search.references")
         self._ctr_covered_words = METRICS.counter("search.covered_words")
-
-    def invalidate_result_cache(self) -> None:
-        """Drop the cross-block result cache unconditionally.
-
-        The generation triple only tracks *state* (hash table, cache,
-        WMT) — it cannot see a config change, so online knob tuning
-        must call this whenever the pipeline's config is rebound.
-        """
-        self._line_cache.clear()
-        self._line_cache_gen = None
 
     def search(self, line: bytes, exclude: Optional[LineId] = None) -> SearchResult:
         """Find up to ``max_references`` references for *line*.
@@ -281,594 +232,3 @@ class SearchPipeline:
                 )
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Batched search (whole blocks of lines at once)
-    # ------------------------------------------------------------------
-    #
-    # Both legs are byte-identical to `[self.search(l, e) for l, e in
-    # zip(lines, excludes)]` — including the stats side effects on the
-    # hash table, the cache's data-read counter and the referencability
-    # callback — because encoder state is frozen while a block encodes
-    # (search never mutates the hash table, WMT or cache). That freeze
-    # is what makes the per-block memoization below sound: a candidate
-    # LineID resolves the same way for every line in the block, so it
-    # is resolved once and its stats bumps are replayed for repeats.
-    #
-    # The same argument extends *across* blocks through generation
-    # counters: the hash table, the home cache and (via
-    # ``referencable_generation``) the WMT each bump a counter on every
-    # mutation, so an unchanged generation triple proves a previously
-    # computed per-line result is still exact. Cached lines replay
-    # their stats in bulk and skip the pipeline entirely — the
-    # cache-friendly hot loop that pushes recurrent streams past the
-    # 10× throughput target.
-
-    #: Cross-block cache bound; above it the oldest half is dropped.
-    _LINE_CACHE_LIMIT = 32768
-
-    def search_batch(
-        self,
-        lines: Sequence[bytes],
-        excludes: Optional[Sequence[Optional[LineId]]] = None,
-        backend: Optional[str] = None,
-    ) -> List[SearchResult]:
-        """Search a whole block of lines at once.
-
-        *excludes* pairs with *lines* (the per-line own-LineID
-        exclusion); *backend* pins a kernel leg ("numpy"/"pure") for
-        tests, defaulting to the import-time selection.
-        """
-        if not lines:
-            return []
-        count = len(lines)
-        if excludes is None:
-            excludes = [None] * count
-        leg = batch_backend(backend)
-        if leg == "numpy" and not self._vectorizable(lines):
-            leg = "pure"
-        run = self._search_batch_numpy if leg == "numpy" else self._search_batch_pure
-
-        gen_fn = self.referencable_generation
-        if gen_fn is None:
-            # No generation witness for the referencability callback —
-            # per-block memoization only.
-            return run(lines, excludes)[0]
-        cache = self._line_cache
-        gen = (self.hash_table.generation, self.home_cache.generation, gen_fn())
-        if gen != self._line_cache_gen:
-            cache.clear()
-            self._line_cache_gen = gen
-
-        results: List[Optional[SearchResult]] = [None] * count
-        miss_idx: List[int] = []
-        cache_get = cache.get
-        replay = self.referencable_replay
-        referencable = self.referencable
-        enabled = self._obs.enabled
-        acc_lookups = acc_bucket_hits = acc_reads_counted = 0
-        acc_wmt_hits = acc_wmt_misses = 0
-        hit_lines = hit_occ = hit_cands = hit_reads = hit_refs = hit_cov = 0
-        for i in range(count):
-            entry = cache_get((lines[i], excludes[i]))
-            if entry is None:
-                miss_idx.append(i)
-                continue
-            (
-                sigs_used,
-                probe_hits,
-                occ,
-                probed,
-                reads,
-                n_counted,
-                n_h,
-                n_m,
-                consult_lids,
-                refs,
-                combined,
-            ) = entry
-            acc_lookups += sigs_used
-            acc_bucket_hits += probe_hits
-            acc_reads_counted += n_counted
-            if replay is not None:
-                acc_wmt_hits += n_h
-                acc_wmt_misses += n_m
-            else:
-                # No replay hook: re-consult per occurrence, exactly
-                # like the scalar path would.
-                for lid in consult_lids:
-                    referencable(LineId(lid))
-            results[i] = SearchResult(
-                references=list(refs),
-                signatures_used=sigs_used,
-                candidates_probed=probed,
-                data_reads=reads,
-                combined_cbv=combined,
-            )
-            if enabled:
-                hit_lines += 1
-                hit_occ += occ
-                hit_cands += probed
-                hit_reads += reads
-                hit_refs += len(refs)
-                hit_cov += popcount32(combined)
-        if acc_lookups or acc_bucket_hits:
-            self.hash_table.count_probes(acc_lookups, acc_bucket_hits)
-        if acc_reads_counted:
-            self.home_cache.stats["data_reads"] += acc_reads_counted
-        if acc_wmt_hits:
-            replay(True, acc_wmt_hits)
-        if acc_wmt_misses:
-            replay(False, acc_wmt_misses)
-        if enabled and hit_lines:
-            self._ctr_searches.inc(hit_lines)
-            self._ctr_signature_hits.inc(hit_occ)
-            self._ctr_candidates.inc(hit_cands)
-            self._ctr_data_reads.inc(hit_reads)
-            self._ctr_references.inc(hit_refs)
-            self._ctr_covered_words.inc(hit_cov)
-        if miss_idx:
-            if len(miss_idx) == count:
-                sub_lines: Sequence[bytes] = lines
-                sub_excludes: Sequence[Optional[LineId]] = excludes
-            else:
-                sub_lines = [lines[i] for i in miss_idx]
-                sub_excludes = [excludes[i] for i in miss_idx]
-            sub_results, captures = run(sub_lines, sub_excludes)
-            for j, i in enumerate(miss_idx):
-                result = sub_results[j]
-                results[i] = result
-                probe_hits, occ, n_counted, n_h, n_m, consult_lids = captures[j]
-                cache[(lines[i], excludes[i])] = (
-                    result.signatures_used,
-                    probe_hits,
-                    occ,
-                    result.candidates_probed,
-                    result.data_reads,
-                    n_counted,
-                    n_h,
-                    n_m,
-                    consult_lids,
-                    tuple(result.references),
-                    result.combined_cbv,
-                )
-            if len(cache) > self._LINE_CACHE_LIMIT:
-                for key in list(islice(iter(cache), self._LINE_CACHE_LIMIT // 2)):
-                    del cache[key]
-        return results
-
-    def _vectorizable(self, lines: Sequence[bytes]) -> bool:
-        """The numpy leg wants homogeneous lines that match the cache
-        geometry (CBV rows align) and CBVs that fit uint32."""
-        size = len(lines[0])
-        return (
-            size // 4 <= 32
-            and size == self.home_cache.geometry.line_bytes
-            and all(len(line) == size for line in lines)
-        )
-
-    def _search_batch_numpy(
-        self, lines: Sequence[bytes], excludes: Sequence[Optional[LineId]]
-    ) -> Tuple[List[SearchResult], List[tuple]]:
-        np = get_numpy()
-        config = self.config
-        enabled = self._obs.enabled
-        if enabled:
-            t0 = perf_counter_ns()
-        count = len(lines)
-        max_signatures = config.max_signatures
-        sig_lists = [
-            sigs[:max_signatures]
-            for sigs in self.extractor.search_signatures_batch(lines, backend="numpy")
-        ]
-        results = [SearchResult() for _ in range(count)]
-        for result, sigs in zip(results, sig_lists):
-            result.signatures_used = len(sigs)
-        # Per-line capture for the cross-block cache: (probe hits,
-        # candidate occurrences, counted reads, WMT hits, WMT misses,
-        # consulted LineIDs).
-        probe_hits_l = [0] * count
-        occ_l = [0] * count
-        counted_l = [0] * count
-        wmth_l = [0] * count
-        wmtm_l = [0] * count
-        consults_l: List[tuple] = [()] * count
-        if enabled:
-            t1 = perf_counter_ns()
-            self._stage_batch_extract.observe(t1 - t0)
-            self._ctr_searches.inc(count)
-        lens = [len(sigs) for sigs in sig_lists]
-        total = sum(lens)
-        if total == 0:
-            return results, list(
-                zip(probe_hits_l, occ_l, counted_l, wmth_l, wmtm_l, consults_l)
-            )
-
-        # Probe: every distinct signature hits its bucket exactly once;
-        # the per-probe lookup/hit accounting is replayed in bulk.
-        flat = np.fromiter(chain.from_iterable(sig_lists), dtype=np.int64, count=total)
-        line_of = np.repeat(np.arange(count), lens)
-        uniq_sigs, inv = np.unique(flat, return_inverse=True)
-        buckets = self.hash_table.lookup_block(uniq_sigs.tolist())
-        bucket_lens = np.array([len(bucket) for bucket in buckets], dtype=np.int64)
-        hit_probes = bucket_lens[inv] > 0
-        probe_hits_l = np.bincount(line_of[hit_probes], minlength=count).tolist()
-        self.hash_table.count_probes(total, int(hit_probes.sum()))
-        if enabled:
-            t2 = perf_counter_ns()
-            self._stage_batch_probe.observe(t2 - t1)
-        width = int(bucket_lens.max())
-        if width == 0:
-            return results, list(
-                zip(probe_hits_l, occ_l, counted_l, wmth_l, wmtm_l, consults_l)
-            )
-
-        # Pre-rank: gather all candidate (line, lid) pairs, count
-        # duplications and keep first-seen order — np.unique's
-        # return_index over the flattened probe stream reproduces the
-        # scalar order dict exactly (both walk sig-major bucket order).
-        pad = (-1,) * width
-        matrix = np.array(
-            [(bucket + pad)[:width] for bucket in buckets], dtype=np.int64
-        )
-        flat_cand = matrix[inv].ravel()
-        flat_line = np.repeat(line_of, width)
-        excl = np.fromiter(
-            (-1 if e is None else int(e) for e in excludes), dtype=np.int64, count=count
-        )
-        valid = (flat_cand >= 0) & (flat_cand != excl[flat_line])
-        cand = flat_cand[valid]
-        if not len(cand):
-            if enabled:
-                self._stage_batch_rank.observe(perf_counter_ns() - t2)
-            return results, list(
-                zip(probe_hits_l, occ_l, counted_l, wmth_l, wmtm_l, consults_l)
-            )
-        cand_line = flat_line[valid]
-        occ_l = np.bincount(cand_line, minlength=count).tolist()
-        lid_space = int(cand.max()) + 1
-        keys = cand_line * lid_space + cand
-        uniq_keys, first_seen, dup_counts = np.unique(
-            keys, return_index=True, return_counts=True
-        )
-        key_lines = uniq_keys // lid_space
-        rank = np.lexsort((first_seen, -dup_counts, key_lines))
-        lids_ranked = (uniq_keys % lid_space)[rank].tolist()
-        bounds = np.searchsorted(key_lines[rank], np.arange(count + 1)).tolist()
-        probed = np.bincount(key_lines, minlength=count).tolist()
-        for i in range(count):
-            results[i].candidates_probed = probed[i]
-        if enabled:
-            t3 = perf_counter_ns()
-            self._stage_batch_rank.observe(t3 - t2)
-            self._ctr_signature_hits.inc(len(cand))
-            self._ctr_candidates.inc(len(uniq_keys))
-
-        # Resolve: read/translate each distinct candidate once, replay
-        # the stats for repeats, then build every CBV in one batched
-        # compare (the fully-vectorized CBV kernel).
-        data_access_count = config.data_access_count
-        read_by_lineid = self.home_cache.read_by_lineid
-        cache_stats = self.home_cache.stats
-        referencable = self.referencable
-        replay = self.referencable_replay
-        need_consults = replay is None
-        resolve: Dict[int, tuple] = {}
-        pair_lines: List[int] = []
-        pair_data: List[bytes] = []
-        staged: List[List[tuple]] = [[] for _ in range(count)]
-        total_reads = 0
-        repeat_reads = 0
-        repeat_hits = 0
-        repeat_misses = 0
-        for i in range(count):
-            lo = bounds[i]
-            top = lids_ranked[lo : min(bounds[i + 1], lo + data_access_count)]
-            stage = staged[i]
-            n_counted = n_h = n_m = 0
-            consults: List[int] = []
-            for lid in top:
-                record = resolve.get(lid)
-                if record is None:
-                    home_lid = LineId(lid)
-                    before = cache_stats["data_reads"]
-                    cached = read_by_lineid(home_lid)
-                    counted = cache_stats["data_reads"] != before
-                    if cached is None or not cached.usable_as_reference:
-                        record = (counted, False, False, None)
-                    else:
-                        remote_lid = referencable(home_lid)
-                        if remote_lid is None:
-                            record = (counted, True, False, None)
-                        else:
-                            record = (
-                                counted,
-                                True,
-                                True,
-                                (home_lid, remote_lid, cached.data, cached.tag),
-                            )
-                    resolve[lid] = record
-                    counted, consulted, hit, payload = record
-                else:
-                    counted, consulted, hit, payload = record
-                    if counted:
-                        repeat_reads += 1
-                    if consulted:
-                        if replay is not None:
-                            if hit:
-                                repeat_hits += 1
-                            else:
-                                repeat_misses += 1
-                        else:
-                            referencable(LineId(lid))
-                if counted:
-                    n_counted += 1
-                if consulted:
-                    if hit:
-                        n_h += 1
-                    else:
-                        n_m += 1
-                    if need_consults:
-                        consults.append(lid)
-                if payload is not None:
-                    stage.append((payload, len(pair_lines)))
-                    pair_lines.append(i)
-                    pair_data.append(payload[2])
-            reads = len(top)
-            results[i].data_reads = reads
-            total_reads += reads
-            counted_l[i] = n_counted
-            wmth_l[i] = n_h
-            wmtm_l[i] = n_m
-            if consults:
-                consults_l[i] = tuple(consults)
-        if repeat_reads:
-            cache_stats["data_reads"] += repeat_reads
-        if repeat_hits:
-            replay(True, repeat_hits)
-        if repeat_misses:
-            replay(False, repeat_misses)
-        if enabled:
-            t4 = perf_counter_ns()
-            self._stage_batch_resolve.observe(t4 - t3)
-
-        cbvs: List[int] = []
-        if pair_lines:
-            words_matrix = np.frombuffer(b"".join(lines), dtype="<u4").reshape(
-                count, -1
-            )
-            cand_matrix = np.frombuffer(b"".join(pair_data), dtype="<u4").reshape(
-                len(pair_data), -1
-            )
-            cbvs = match_mask_rows(words_matrix[pair_lines], cand_matrix)
-
-        # Select (step ⑤), vectorized greedy across all lines at once.
-        per_line: List[List[tuple]] = [[] for _ in range(count)]
-        for i in range(count):
-            keep = per_line[i]
-            for payload, pair_index in staged[i]:
-                cbv = cbvs[pair_index]
-                if cbv:
-                    keep.append((payload[0], payload[1], payload[2], cbv, payload[3]))
-        total_references = 0
-        total_covered = 0
-        if config.ranking_policy == "greedy":
-            active = [i for i in range(count) if per_line[i]]
-            if active:
-                picks_rows, combined_rows = _greedy_select_rows(
-                    np,
-                    [[c[3] for c in per_line[i]] for i in active],
-                    config.max_references,
-                )
-                for j, i in enumerate(active):
-                    combined = combined_rows[j]
-                    results[i].combined_cbv = combined
-                    total_covered += popcount32(combined)
-                    refs = results[i].references
-                    row = per_line[i]
-                    for col in picks_rows[j]:
-                        home_lid, remote_lid, data, cbv, addr = row[col]
-                        refs.append(
-                            Reference(
-                                home_lid=home_lid,
-                                remote_lid=remote_lid,
-                                data=data,
-                                cbv=cbv,
-                                line_addr=addr,
-                            )
-                        )
-                    total_references += len(picks_rows[j])
-        else:
-            for i in range(count):
-                row = per_line[i]
-                picks, combined = top_select(
-                    [(k, c[3]) for k, c in enumerate(row)], config.max_references
-                )
-                results[i].combined_cbv = combined
-                total_covered += popcount32(combined)
-                for k in picks:
-                    home_lid, remote_lid, data, cbv, addr = row[k]
-                    results[i].references.append(
-                        Reference(
-                            home_lid=home_lid,
-                            remote_lid=remote_lid,
-                            data=data,
-                            cbv=cbv,
-                            line_addr=addr,
-                        )
-                    )
-                total_references += len(picks)
-        if enabled:
-            self._stage_batch_select.observe(perf_counter_ns() - t4)
-            self._ctr_data_reads.inc(total_reads)
-            self._ctr_references.inc(total_references)
-            self._ctr_covered_words.inc(total_covered)
-        return results, list(
-            zip(probe_hits_l, occ_l, counted_l, wmth_l, wmtm_l, consults_l)
-        )
-
-    def _search_batch_pure(
-        self, lines: Sequence[bytes], excludes: Sequence[Optional[LineId]]
-    ) -> Tuple[List[SearchResult], List[tuple]]:
-        """Pure-python block leg: the scalar control flow, sharing one
-        bucket cache and one candidate-resolution memo per block."""
-        config = self.config
-        hash_table = self.hash_table
-        read_by_lineid = self.home_cache.read_by_lineid
-        cache_stats = self.home_cache.stats
-        referencable = self.referencable
-        replay = self.referencable_replay
-        need_consults = replay is None
-        enabled = self._obs.enabled
-        select = greedy_select if config.ranking_policy == "greedy" else top_select
-        self.extractor.search_signatures_batch(lines, backend="pure")
-        bucket_cache: Dict[int, Tuple[LineId, ...]] = {}
-        resolve: Dict[LineId, tuple] = {}
-        results: List[SearchResult] = []
-        captures: List[tuple] = []
-        for line, exclude in zip(lines, excludes):
-            result = SearchResult()
-            signatures = self.extractor.search_signatures(line)[
-                : config.max_signatures
-            ]
-            result.signatures_used = len(signatures)
-            if enabled:
-                self._ctr_searches.inc()
-            if not signatures:
-                results.append(result)
-                captures.append((0, 0, 0, 0, 0, ()))
-                continue
-            counts: Dict[LineId, int] = {}
-            order: Dict[LineId, int] = {}
-            hits = 0
-            for signature in signatures:
-                bucket = bucket_cache.get(signature)
-                if bucket is None:
-                    bucket = hash_table.lookup_block((signature,))[0]
-                    bucket_cache[signature] = bucket
-                if bucket:
-                    hits += 1
-                for lid in bucket:
-                    if exclude is not None and lid == exclude:
-                        continue
-                    counts[lid] = counts.get(lid, 0) + 1
-                    order.setdefault(lid, len(order))
-            hash_table.count_probes(len(signatures), hits)
-            result.candidates_probed = len(counts)
-            top = sorted(counts, key=lambda lid: (-counts[lid], order[lid]))
-            top = top[: config.data_access_count]
-            if enabled:
-                self._ctr_signature_hits.inc(sum(counts.values()))
-                self._ctr_candidates.inc(len(counts))
-            candidates: List[Tuple[LineId, LineId, bytes, int, int]] = []
-            n_counted = n_h = n_m = 0
-            consults: List[int] = []
-            for lid in top:
-                record = resolve.get(lid)
-                if record is None:
-                    before = cache_stats["data_reads"]
-                    cached = read_by_lineid(lid)
-                    counted = cache_stats["data_reads"] != before
-                    if cached is None or not cached.usable_as_reference:
-                        record = (counted, False, False, None)
-                    else:
-                        remote_lid = referencable(lid)
-                        if remote_lid is None:
-                            record = (counted, True, False, None)
-                        else:
-                            record = (
-                                counted,
-                                True,
-                                True,
-                                (lid, remote_lid, cached.data, cached.tag),
-                            )
-                    resolve[lid] = record
-                    counted, consulted, hit, payload = record
-                else:
-                    counted, consulted, hit, payload = record
-                    if counted:
-                        cache_stats["data_reads"] += 1
-                    if consulted:
-                        if replay is not None:
-                            replay(hit)
-                        else:
-                            referencable(lid)
-                if counted:
-                    n_counted += 1
-                if consulted:
-                    if hit:
-                        n_h += 1
-                    else:
-                        n_m += 1
-                    if need_consults:
-                        consults.append(int(lid))
-                result.data_reads += 1
-                if payload is None:
-                    continue
-                cbv = line_match_mask(line, payload[2])
-                if cbv == 0:
-                    continue
-                candidates.append((payload[0], payload[1], payload[2], cbv, payload[3]))
-            picks, combined = select(
-                [(i, cbv) for i, (__, __, __, cbv, __) in enumerate(candidates)],
-                config.max_references,
-            )
-            result.combined_cbv = combined
-            if enabled:
-                self._ctr_data_reads.inc(result.data_reads)
-                self._ctr_references.inc(len(picks))
-                self._ctr_covered_words.inc(popcount32(combined))
-            for i in picks:
-                home_lid, remote_lid, data, cbv, addr = candidates[i]
-                result.references.append(
-                    Reference(
-                        home_lid=home_lid,
-                        remote_lid=remote_lid,
-                        data=data,
-                        cbv=cbv,
-                        line_addr=addr,
-                    )
-                )
-            results.append(result)
-            captures.append(
-                (
-                    hits,
-                    sum(counts.values()),
-                    n_counted,
-                    n_h,
-                    n_m,
-                    tuple(consults) if consults else (),
-                )
-            )
-        return results, captures
-
-
-def _greedy_select_rows(np, cbv_rows: List[List[int]], max_references: int):
-    """Vectorized greedy max-coverage over many candidate rows at once.
-
-    Exactly :func:`greedy_select` per row: ``argmax`` picks the first
-    index achieving the best marginal gain (the scalar loop only
-    replaces on strictly-greater), chosen candidates are zeroed (their
-    gain drops to 0 and zero-gain candidates are never selected), and a
-    row stops as soon as nothing adds coverage.
-    """
-    count = len(cbv_rows)
-    width = max(len(row) for row in cbv_rows)
-    matrix = np.zeros((count, width), dtype=np.uint32)
-    for i, row in enumerate(cbv_rows):
-        matrix[i, : len(row)] = row
-    combined = np.zeros(count, dtype=np.uint32)
-    picks: List[List[int]] = [[] for _ in range(count)]
-    row_index = np.arange(count)
-    for _ in range(max_references):
-        gains = popcount_array(matrix & ~combined[:, None])
-        best = gains.argmax(axis=1)
-        active = np.flatnonzero(gains[row_index, best] > 0)
-        if not len(active):
-            break
-        chosen = best[active]
-        combined[active] |= matrix[active, chosen]
-        matrix[active, chosen] = 0
-        for r, c in zip(active.tolist(), chosen.tolist()):
-            picks[r].append(c)
-    return picks, combined.tolist()

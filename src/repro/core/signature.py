@@ -24,7 +24,7 @@ trivial threshold) and LRU-bounded.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import CableConfig
 from repro.util.kernels import (
@@ -212,35 +212,10 @@ class SignatureExtractor:
         return tuple(signatures)
 
     # ------------------------------------------------------------------
-    # Batched extraction (whole blocks of lines at once)
+    # Look-ahead warm (whole blocks of lines at once)
     # ------------------------------------------------------------------
 
-    def search_signatures_batch(
-        self, lines: Sequence[bytes], backend: Optional[str] = None
-    ) -> List[Tuple[int, ...]]:
-        """Search-time signatures for a whole block of lines.
-
-        Equivalent to ``[tuple(self.search_signatures(l)) for l in
-        lines]``: memo hits are returned directly, and the misses are
-        hashed together through one :class:`BatchLines` matrix on the
-        numpy leg (scalar per line on the pure leg).
-        """
-        memo = self._search_memo
-        out: List[Optional[Tuple[int, ...]]] = []
-        missing: Dict[bytes, None] = {}
-        for line in lines:
-            sigs = memo.get(line)
-            out.append(sigs)
-            if sigs is None:
-                missing[line] = None
-        if missing:
-            computed = self._extract_block(list(missing), backend, index=False)
-            for i, line in enumerate(lines):
-                if out[i] is None:
-                    out[i] = computed[line][1]
-        return out
-
-    def warm_batch(self, lines: Sequence[bytes], backend: Optional[str] = None) -> int:
+    def warm_batch(self, lines: Sequence[bytes]) -> int:
         """Precompute index- and search-time memo entries for *lines*.
 
         The look-ahead prefetch of the batch feeds: extraction is pure
@@ -254,20 +229,18 @@ class SignatureExtractor:
             if line not in self._search_memo or line not in self._index_memo
         ]
         if fresh:
-            self._extract_block(fresh, backend, index=True)
+            self._extract_block(fresh)
         return len(fresh)
 
-    def _extract_block(
-        self, unique_lines: List[bytes], backend: Optional[str], index: bool
-    ) -> Dict[bytes, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Extract (index_sigs, search_sigs) for distinct lines.
+    def _extract_block(self, unique_lines: List[bytes]) -> None:
+        """Memoize (index_sigs, search_sigs) for distinct lines.
 
-        One hash pass feeds both extraction rules; *index* skips the
-        index-time walk when only search signatures are wanted.
+        Equal-length blocks share one :class:`BatchLines` hash pass
+        that feeds both extraction rules; mixed lengths (or the pure
+        kernel leg) fall back to the scalar extractors per line.
         """
-        resolved: Dict[bytes, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         vectorized = (
-            batch_backend(backend) == "numpy"
+            batch_backend() == "numpy"
             and len({len(line) for line in unique_lines}) == 1
         )
         if vectorized:
@@ -276,21 +249,20 @@ class SignatureExtractor:
             )
             rows = self.hash.hash_matrix(batch.words).tolist()
             for line, row, tmask in zip(unique_lines, rows, batch.tmasks):
-                search_sigs = self._search_from_row(row, tmask)
-                index_sigs = self._index_from_row(row, tmask) if index else ()
-                self._remember(self._search_memo, line, search_sigs)
-                if index:
-                    self._remember(self._index_memo, line, index_sigs)
-                resolved[line] = (index_sigs, search_sigs)
+                self._remember(
+                    self._search_memo, line, self._search_from_row(row, tmask)
+                )
+                self._remember(
+                    self._index_memo, line, self._index_from_row(row, tmask)
+                )
         else:
             for line in unique_lines:
-                search_sigs = self._search_signatures_uncached(line)
-                index_sigs = self._index_signatures_uncached(line) if index else ()
-                self._remember(self._search_memo, line, search_sigs)
-                if index:
-                    self._remember(self._index_memo, line, index_sigs)
-                resolved[line] = (index_sigs, search_sigs)
-        return resolved
+                self._remember(
+                    self._search_memo, line, self._search_signatures_uncached(line)
+                )
+                self._remember(
+                    self._index_memo, line, self._index_signatures_uncached(line)
+                )
 
     def _search_from_row(self, row: List[int], tmask: int) -> Tuple[int, ...]:
         """Search-rule dedup over a pre-hashed word row."""

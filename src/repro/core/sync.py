@@ -200,17 +200,11 @@ def _repair(link: CableLinkPair) -> Dict[str, int]:
             if entry != wanted[remote_index][remote_way]:
                 repaired["wmt"] += 1
     wmt._entries = wanted
-    if repaired["wmt"]:
-        # Bulk assignment bypasses install()/invalidate(): bump the
-        # generation by hand or the batch pipeline's cross-block result
-        # cache keeps replaying pre-repair referencability.
-        wmt.generation += 1
 
     for table, geometry in (
         (link.home_encoder.hash_table, home.geometry),
         (link.remote_decoder.hash_table, remote.geometry),
     ):
-        scrubbed = False
         for bucket in table._buckets.values():
             kept = []
             for lid in bucket:
@@ -221,9 +215,6 @@ def _repair(link: CableLinkPair) -> Dict[str, int]:
                     repaired["hash"] += 1
             if len(kept) != len(bucket):
                 bucket[:] = kept
-                scrubbed = True
-        if scrubbed:
-            table.generation += 1  # same bulk-mutation rule as the WMT
 
     buffer = link.remote_decoder.evict_buffer
     seen_keys = set()

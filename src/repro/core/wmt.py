@@ -62,10 +62,6 @@ class WayMapTable:
         self._entries: List[List[Optional[NormalizedHomeLid]]] = [
             [None] * remote.ways for _ in range(remote.sets)
         ]
-        #: Bumped on every entry mutation. The batched search keys its
-        #: cross-block result cache on this: an unchanged generation
-        #: proves every translation outcome is unchanged.
-        self.generation = 0
         self.stats = {"installs": 0, "invalidations": 0, "hits": 0, "misses": 0}
         #: Durability hook (:class:`repro.state.manager.EndpointStateManager`):
         #: when set, every effective mutation is reported as
@@ -124,18 +120,6 @@ class WayMapTable:
         self.stats["misses"] += 1
         return None
 
-    def replay_translation(self, hit: bool, count: int = 1) -> None:
-        """Re-count *count* translations whose outcome is already known.
-
-        The batched search resolves each distinct HomeLID once per
-        block (encoder state is frozen during a block, so the outcome
-        cannot change) and replays the hit/miss accounting for the
-        repeats — and, through its generation-guarded result cache, in
-        bulk for whole cached lines — keeping the stats identical to
-        per-candidate :meth:`remote_lid_for` calls.
-        """
-        self.stats["hits" if hit else "misses"] += count
-
     def home_lid_for(self, remote_lid: LineId) -> Optional[LineId]:
         """RemoteLID → HomeLID (write-back translation, §III-G)."""
         remote_index, remote_way = remote_lid.unpack(self.remote.way_bits)
@@ -160,7 +144,6 @@ class WayMapTable:
         previous = self._entries[remote_index][remote_way]
         displaced = self.denormalize(previous, remote_index) if previous else None
         self._entries[remote_index][remote_way] = self.normalize(home_lid)
-        self.generation += 1
         self.stats["installs"] += 1
         if self.journal is not None:
             self.journal("wmt_install", int(home_lid), int(remote_lid))
@@ -171,7 +154,6 @@ class WayMapTable:
         remote_index, remote_way = remote_lid.unpack(self.remote.way_bits)
         previous = self._entries[remote_index][remote_way]
         self._entries[remote_index][remote_way] = None
-        self.generation += 1
         if previous is None:
             return None
         self.stats["invalidations"] += 1
@@ -186,7 +168,6 @@ class WayMapTable:
         for way, entry in enumerate(self._entries[remote_index]):
             if entry == wanted:
                 self._entries[remote_index][way] = None
-                self.generation += 1
                 self.stats["invalidations"] += 1
                 if self.journal is not None:
                     self.journal("wmt_inval_home", int(home_lid))
@@ -244,11 +225,9 @@ class WayMapTable:
                 )
             entries.append(row)
         self._entries = entries
-        self.generation += 1
 
     def reset_state(self) -> None:
         """Wipe to cold state (endpoint crash, before restore)."""
         self._entries = [
             [None] * self.remote.ways for _ in range(self.remote.sets)
         ]
-        self.generation += 1

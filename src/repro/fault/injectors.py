@@ -172,10 +172,6 @@ class StateFaultInjector:
                 home_way=(entry.home_way + 1) % wmt.home.ways
             )
         wmt._entries[index][way] = twisted
-        # Direct-array sabotage bypasses install(): bump the generation
-        # so the batch pipeline's cross-block cache re-derives instead
-        # of replaying the pre-twist referencability.
-        wmt.generation += 1
         self.stats["stale_wmt"] += 1
         return 1
 

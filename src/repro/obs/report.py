@@ -22,18 +22,15 @@ STAGE_PREFIX = "stage."
 KERNEL_BACKEND_PREFIX = "kernels.backend."
 
 
-def publish_kernel_gauges(
-    registry: Optional[MetricsRegistry] = None,
-    block_size: Optional[int] = None,
-) -> None:
-    """Record the kernel leg and batch block size as gauges.
+def publish_kernel_gauges(registry: Optional[MetricsRegistry] = None) -> None:
+    """Record the kernel leg as a gauge.
 
     Called by every encoder construction so archived ``.obs.json``
     snapshots carry the environment that produced their numbers: a
-    one-hot ``kernels.backend.<leg>`` gauge (numpy / bit_count / pure)
-    plus ``encode.batch_block_size``. A disabled default registry is
-    left untouched — the "disabled means free" contract covers these
-    gauges too (an explicit *registry* is always written).
+    one-hot ``kernels.backend.<leg>`` gauge (numpy / bit_count / pure).
+    A disabled default registry is left untouched — the "disabled means
+    free" contract covers this gauge too (an explicit *registry* is
+    always written).
     """
     from repro.util.kernels import BACKEND
 
@@ -41,40 +38,24 @@ def publish_kernel_gauges(
     if registry is None and not reg.enabled:
         return
     reg.gauge(KERNEL_BACKEND_PREFIX + BACKEND).set(1)
-    if block_size is None:
-        from repro.core.config import CableConfig
-
-        block_size = CableConfig().batch_block_size
-    reg.gauge("encode.batch_block_size").set(block_size)
 
 
 def kernel_header(registry: Optional[MetricsRegistry] = None) -> str:
-    """One line naming the kernel leg and batch knob behind a report.
+    """One line naming the kernel leg behind a report.
 
-    Prefers the gauges archived in *registry* (the truth about the run
+    Prefers the gauge archived in *registry* (the truth about the run
     that produced a snapshot); falls back to this process's import-time
     selection when a snapshot predates the gauges.
     """
     from repro.util.kernels import BACKEND
 
     backend = BACKEND
-    block: Optional[int] = None
     if registry is not None:
         for name, gauge in registry.gauges.items():
             if name.startswith(KERNEL_BACKEND_PREFIX) and gauge.value:
                 backend = name[len(KERNEL_BACKEND_PREFIX) :]
-        archived = registry.gauges.get("encode.batch_block_size")
-        if archived is not None and archived.value:
-            block = int(archived.value)
-    if block is None:
-        from repro.core.config import CableConfig
-
-        block = CableConfig().batch_block_size
     batch_leg = "numpy" if backend == "numpy" else "pure"
-    return (
-        f"kernels: backend={backend} batch_leg={batch_leg} "
-        f"batch_block_size={block}"
-    )
+    return f"kernels: backend={backend} batch_leg={batch_leg}"
 
 
 class StageRow(NamedTuple):

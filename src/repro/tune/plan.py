@@ -36,7 +36,8 @@ WIRE_AFFECTING = frozenset({"engine", "remotelid_bits", "line_bytes"})
 GEOMETRY_KNOBS = frozenset({"hash_table_scale", "hash_bucket_entries"})
 
 #: Knobs an arm may override: ``enabled`` plus the CableConfig fields
-#: :meth:`CableLinkPair.apply_config` accepts at runtime.
+#: :meth:`CableLinkPair.apply_config` accepts at runtime. This is the
+#: only list: ``CableLinkPair`` derives its runtime set from it.
 TUNABLE_KNOBS = frozenset(
     {
         "enabled",
@@ -50,7 +51,6 @@ TUNABLE_KNOBS = frozenset(
         "ranking_policy",
         "no_reference_threshold",
         "engine",
-        "batch_block_size",
     }
 )
 

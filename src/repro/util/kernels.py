@@ -250,10 +250,11 @@ count_toggles = (
 # ----------------------------------------------------------------------
 #
 # The per-line kernels above took the arithmetic off the profile; what
-# remains in the encode hot path is per-line Python dispatch. These
-# primitives amortize it across a *block* of lines: one contiguous
-# word matrix, one vectorized trivial-mask pass, one packbits per
-# block of coverage bit vectors. Every entry point takes an optional
+# remains is per-line Python dispatch. The signature look-ahead warm
+# (``SignatureExtractor.warm_batch``) amortizes it across a *block* of
+# lines whose bytes are already known: one contiguous word matrix and
+# one vectorized trivial-mask pass (:class:`BatchLines`), hashed in one
+# ``H3Hash.hash_matrix`` call. ``BatchLines`` takes an optional
 # ``backend`` ("numpy" or "pure") so tests can pin either leg
 # in-process; the default follows the import-time selection (and hence
 # REPRO_PURE_PYTHON).
@@ -262,9 +263,9 @@ count_toggles = (
 def get_numpy():
     """The numpy module when the fast paths are active, else None.
 
-    Batch call sites (signature hashing, the vectorized search leg)
-    route through this instead of importing numpy themselves so the
-    REPRO_PURE_PYTHON gate stays in exactly one place.
+    Batch call sites (the H3 hash matrix tables) route through this
+    instead of importing numpy themselves so the REPRO_PURE_PYTHON gate
+    stays in exactly one place.
     """
     return _np
 
@@ -342,51 +343,6 @@ class BatchLines:
             self.tmasks = [
                 trivial_mask(line, trivial_threshold_bits) for line in self.lines
             ]
-
-
-def popcount_array(arr: "object") -> "object":
-    """Elementwise popcount of a uint32 numpy array (numpy leg only)."""
-    if _HAVE_BITWISE_COUNT:
-        return _np.bitwise_count(arr)
-    v = arr.astype(_np.uint32, copy=True)
-    v -= (v >> 1) & _np.uint32(0x55555555)
-    v = (v & _np.uint32(0x33333333)) + ((v >> 2) & _np.uint32(0x33333333))
-    v = (v + (v >> 4)) & _np.uint32(0x0F0F0F0F)
-    return (v * _np.uint32(0x01010101)) >> 24
-
-
-def batch_match_masks(
-    line: bytes, candidates: Sequence[bytes], backend: "str | None" = None
-) -> List[int]:
-    """CBVs of *line* against many candidate lines at once.
-
-    Equivalent to ``[line_match_mask(line, c) for c in candidates]``;
-    the numpy leg stacks the candidates and resolves every mask with
-    one compare + packbits round.
-    """
-    if not candidates:
-        return []
-    if batch_backend(backend) != "numpy" or any(
-        len(c) != len(line) for c in candidates
-    ):
-        return [line_match_mask(line, candidate) for candidate in candidates]
-    target = _np.frombuffer(line, dtype="<u4")
-    stacked = _np.frombuffer(b"".join(candidates), dtype="<u4").reshape(
-        len(candidates), len(line) // 4
-    )
-    return _rows_to_masks(stacked == target)
-
-
-def match_mask_rows(target_rows: "object", candidate_rows: "object") -> List[int]:
-    """Row-wise CBVs between two aligned (N, W) uint32 matrices.
-
-    The fully-batched CBV kernel: the search pipeline gathers one
-    target row and one candidate row per (line, candidate) pair and
-    resolves the whole block in a single compare + packbits round.
-    """
-    if not len(target_rows):
-        return []
-    return _rows_to_masks(target_rows == candidate_rows)
 
 
 def clear_caches() -> None:

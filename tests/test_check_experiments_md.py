@@ -1,0 +1,34 @@
+"""tools/check_experiments_md.py: the EXPERIMENTS.md archive gate."""
+
+import importlib.util
+import pathlib
+import shutil
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def checker(tmp_path, monkeypatch):
+    """The gate module, pointed at a private copy of the archives."""
+    spec = importlib.util.spec_from_file_location(
+        "check_experiments_md", ROOT / "tools" / "check_experiments_md.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    archives = tmp_path / "output"
+    shutil.copytree(ROOT / "benchmarks" / "output", archives)
+    monkeypatch.setattr(module, "OUTPUT_DIR", archives)
+    return module
+
+
+def test_missing_gated_archive_fails_the_gate(checker, capsys):
+    assert checker.main([]) == 0
+    capsys.readouterr()
+    stem = "crash_recovery"
+    assert stem in checker.CHECKS
+    (checker.OUTPUT_DIR / f"{stem}.txt").unlink()
+    assert checker.main([]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {stem}: gated archive {stem}.txt is missing" in out

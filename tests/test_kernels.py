@@ -25,7 +25,6 @@ from repro.util.kernels import (
     _popcount_pure,
     _trivial_mask_pure,
     batch_backend,
-    batch_match_masks,
     count_toggles,
     line_match_mask,
     line_words,
@@ -216,24 +215,6 @@ def test_batch_lines_rejects_ragged_blocks():
         BatchLines([])
 
 
-@pytest.mark.parametrize("leg", batch_legs)
-@given(
-    line=st.binary(min_size=16, max_size=16),
-    candidates=st.lists(st.binary(min_size=16, max_size=16), max_size=8),
-)
-@settings(max_examples=40)
-def test_batch_match_masks_matches_pairwise(leg, line, candidates):
-    expected = [line_match_mask(line, candidate) for candidate in candidates]
-    assert batch_match_masks(line, candidates, backend=leg) == expected
-
-
-def test_batch_match_masks_handles_ragged_candidates():
-    line = bytes(range(16))
-    candidates = [bytes(range(16)), bytes(range(8))]
-    expected = [line_match_mask(line, candidate) for candidate in candidates]
-    assert batch_match_masks(line, candidates) == expected
-
-
 def test_batch_backend_resolution():
     assert batch_backend() in ("numpy", "pure")
     assert batch_backend("pure") == "pure"
@@ -242,62 +223,6 @@ def test_batch_backend_resolution():
     if not HAVE_NUMPY:
         with pytest.raises(ValueError):
             batch_backend("numpy")
-
-
-@needs_numpy
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=0xFFFFFFFF), min_size=1, max_size=64
-    )
-)
-def test_popcount_array_matches_popcount32(values):
-    import numpy as np
-
-    from repro.util.kernels import popcount_array
-
-    arr = np.array(values, dtype=np.uint32)
-    assert popcount_array(arr).tolist() == [popcount32(v) for v in values]
-
-
-@needs_numpy
-@given(
-    st.integers(min_value=1, max_value=20).flatmap(
-        lambda words: st.tuples(
-            st.lists(
-                st.lists(
-                    st.integers(min_value=0, max_value=0xFFFFFFFF),
-                    min_size=words,
-                    max_size=words,
-                ),
-                min_size=1,
-                max_size=8,
-            ),
-            st.lists(
-                st.lists(
-                    st.integers(min_value=0, max_value=0xFFFFFFFF),
-                    min_size=words,
-                    max_size=words,
-                ),
-                min_size=1,
-                max_size=8,
-            ),
-        )
-    )
-)
-@settings(max_examples=40)
-def test_match_mask_rows_matches_match_mask(rows):
-    import numpy as np
-
-    from repro.util.kernels import match_mask_rows
-
-    targets, candidates = rows
-    n = min(len(targets), len(candidates))
-    target_m = np.array(targets[:n], dtype=np.uint32)
-    cand_m = np.array(candidates[:n], dtype=np.uint32)
-    expected = [
-        match_mask(t, c) for t, c in zip(targets[:n], candidates[:n])
-    ]
-    assert match_mask_rows(target_m, cand_m) == expected
 
 
 # ----------------------------------------------------------------------
@@ -329,14 +254,51 @@ def test_h3_is_linear_over_xor():
 # Memoized signature extraction
 # ----------------------------------------------------------------------
 
-@given(aligned_lines)
-@settings(max_examples=50)
-def test_memoized_extraction_matches_fresh(line):
-    warm = SignatureExtractor(CableConfig())
-    warm.index_signatures(line)  # populate the memo
-    fresh = SignatureExtractor(CableConfig())
-    assert warm.index_signatures(line) == fresh.index_signatures(line)
-    assert warm.search_signatures(line) == fresh.search_signatures(line)
+#: Look-ahead blocks for ``warm_batch``: equal-length blocks take its
+#: vectorized leg (BatchLines + ``H3Hash.hash_matrix``); appending one
+#: longer line forces the per-line scalar fallback.
+equal_blocks = st.integers(min_value=1, max_value=130).flatmap(
+    lambda words: st.lists(
+        st.binary(min_size=words * 4, max_size=words * 4),
+        min_size=1,
+        max_size=12,
+    )
+)
+warm_blocks = st.one_of(
+    equal_blocks, equal_blocks.map(lambda lines: lines + [lines[0] + bytes(4)])
+)
+
+#: Extraction rules the memo must reproduce: every trivial threshold
+#: the sweeps use, one to four index-time signatures per line.
+extraction_configs = st.builds(
+    lambda threshold, per_line: CableConfig(
+        signature_offsets=(0, 16, 32, 48),
+        signatures_per_line=per_line,
+        trivial_threshold_bits=threshold,
+    ),
+    st.sampled_from((16, 24, 28)),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@given(lines=warm_blocks, config=extraction_configs)
+@settings(max_examples=50, deadline=None)
+def test_memoized_extraction_matches_fresh(lines, config):
+    warm = SignatureExtractor(config)
+    assert warm.warm_batch(lines) == len(set(lines))
+    scalar = SignatureExtractor(config)
+    fresh = SignatureExtractor(config)
+    for line in lines:
+        index = fresh.index_signatures(line)
+        search = fresh.search_signatures(line)
+        # Both memo entries the look-ahead wrote...
+        assert warm._index_memo[line] == tuple(index)
+        assert warm._search_memo[line] == tuple(search)
+        # ...and the ones the scalar extractors memoize on first use.
+        scalar.index_signatures(line)
+        assert scalar.index_signatures(line) == index
+        assert scalar.search_signatures(line) == search
+    assert warm.warm_batch(lines) == 0  # everything is memoized now
 
 
 def test_extraction_returns_private_lists():

@@ -240,3 +240,46 @@ class TestObservability:
         assert metrics.histogram("serve.queue_depth").count > 0
         assert metrics.histogram("serve.rtt_us").count == 32
         assert metrics.counter("serve.drains").value == 1
+
+
+class TestWarmLookahead:
+    def test_drain_block_changes_no_output(self, monkeypatch):
+        # The worker's block warm only prefetches signature extraction
+        # for the block's write payloads, so serving one access per
+        # wakeup or eight must leave every stat on both endpoints and
+        # the client identical.
+        from repro.core.signature import SignatureExtractor
+
+        warm_calls = []
+        original = SignatureExtractor.warm_batch
+
+        def counting_warm(self, lines):
+            warm_calls.append(len(lines))
+            return original(self, lines)
+
+        monkeypatch.setattr(SignatureExtractor, "warm_batch", counting_warm)
+        accesses = stream_for(21, 300, benchmark="omnetpp")
+
+        async def serve(drain_block):
+            service = LinkService(ServeConfig(drain_block=drain_block))
+            client = connect(service)
+            await client.open(client_tag=21)
+            completed = await client.run(accesses, window=8)
+            assert completed == len(accesses)
+            pair = service.manager.find_by_tag(21).pair
+            stats = (
+                dict(pair.home_encoder.stats),
+                dict(pair.remote_decoder.stats),
+                dict(client.stats),
+            )
+            await client.close(keep=True)
+            report = await service.drain()
+            await service.stop()
+            assert report["drained_clean"] == 1
+            return stats
+
+        single = asyncio.run(serve(1))
+        assert not warm_calls  # one access per wakeup never warms
+        blocked = asyncio.run(serve(8))
+        assert warm_calls, "drain_block=8 never drained a block with writes"
+        assert blocked == single

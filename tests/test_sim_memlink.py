@@ -107,3 +107,35 @@ class TestSuiteRunner:
         config = SMALL.scaled(cable=CableConfig(engine="oracle"))
         result = run_memlink("gcc", config)
         assert result.transfers > 0
+
+
+def test_memlink_batch_warm_is_byte_identical():
+    """The simulation's look-ahead warm changes throughput only."""
+    from repro.sim.memlink import MemLinkConfig, run_memlink
+
+    def run(batch_lines: int):
+        result = run_memlink(
+            "omnetpp",
+            MemLinkConfig(
+                accesses=2000,
+                llc_bytes=32 * 1024,
+                l4_bytes=128 * 1024,
+                ws_scale=0.03125,
+                batch_lines=batch_lines,
+            ),
+        )
+        return (
+            result.accesses,
+            result.raw_bits,
+            result.payload_bits,
+            result.flits,
+            result.search_data_reads,
+            result.encodes,
+            result.with_references,
+            result.reference_count,
+            tuple(result.per_transfer_bits),
+        )
+
+    baseline = run(0)
+    assert run(64) == baseline
+    assert run(5) == baseline

@@ -8,6 +8,8 @@ The packing *invariants* (no drop/dup across overflow, kernel-leg
 identity) live in tests/test_tiers_properties.py.
 """
 
+import struct
+
 import pytest
 
 from repro.tiers import (
@@ -74,6 +76,27 @@ class TestConfigs:
         assert make_storage_engine("lbe256").stateful is False
         with pytest.raises(ValueError):
             make_storage_engine("gzip")
+
+    @pytest.mark.parametrize(
+        "name", ("zero", "bdi", "cpack", "cpack128", "lbe256", "oracle")
+    )
+    def test_storage_engine_decodes_out_of_order(self, name):
+        # Stored images are decoded straight from their slots, in any
+        # order, on the one engine instance the cache owns. Self-
+        # repeating lines make LBE copy within the line, so a decoder
+        # that kept the previous line's window resolves the copy
+        # offsets against the wrong words.
+        lines = [
+            struct.pack("<16I", *[0x11223344 + i, 0x55667788 + i] * 8)
+            for i in range(6)
+        ]
+        lines += [bytes(64), bytes(range(64))]
+        engine = make_storage_engine(name)
+        images = [engine.compress(line) for line in lines]
+        order = [5, 0, 7, 3, 1, 6, 2, 4]
+        assert [engine.decompress(images[i]) for i in order] == [
+            lines[i] for i in order
+        ]
 
     def test_link_leg_rejects_unknown_scheme(self):
         from repro.cache.hierarchy import InclusivePair

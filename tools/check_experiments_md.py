@@ -16,6 +16,10 @@ Two layers of checking (exit code 1 on any violation):
      nothing, and reconfigured encoders match natively-built ones
      bit for bit.
 
+   Every stem in :data:`CHECKS` must have its ``<stem>.txt`` archive:
+   a gated archive that goes missing fails the gate instead of being
+   skipped.
+
 2. **Drift** — the quoted *tables*: every deterministic (pinned-seed)
    row EXPERIMENTS.md copies from the archives must still match, exact
    for integers and within 1% for floats (the prose rounds). Failures
@@ -162,17 +166,6 @@ def check_cluster_scaling(summary):
         yield "a scaling-row drain audit failed"
 
 
-def check_hotpath_batch(summary):
-    if summary.get("scalar_identical") != 1:
-        yield "batched encode payloads diverged from the scalar path"
-    if summary.get("stats_identical") != 1:
-        yield "batched encode stats diverged from the scalar path"
-    if summary.get("lines", 0) < 1000:
-        yield "equivalence verdict covered fewer than 1000 lines"
-    if summary.get("block_size", 0) < 2:
-        yield "batched run degenerated to per-line blocks"
-
-
 def check_adaptive(summary):
     if summary.get("min_adp_vs_worst", 0) < 1.02:
         yield "adaptive lost to the worst static arm on some workload"
@@ -210,7 +203,6 @@ CHECKS = {
     "failover": check_failover,
     "cluster": check_cluster,
     "cluster_scaling": check_cluster_scaling,
-    "hotpath_batch": check_hotpath_batch,
     "adaptive_tuning": check_adaptive,
     "tiers": check_tiers,
 }
@@ -563,7 +555,6 @@ UNGATED_TABLES = (
     (("claim", "paper"), "headline roll-up of already-gated tables"),
     (("scheme", "paper scale"), "paper-scale appendix, regenerated manually"),
     (("metric", "pre-kernels"), "machine-dependent throughput"),
-    (("metric", "vs scalar"), "machine-dependent throughput"),
     (("stage", "total ms"), "machine-dependent latency profile"),
 )
 
@@ -656,7 +647,11 @@ def main(argv=None):
     if args.list_gates:
         return list_gates()
 
-    failures = []
+    failures = [
+        f"{stem}: gated archive {stem}.txt is missing"
+        for stem in CHECKS
+        if not (OUTPUT_DIR / f"{stem}.txt").exists()
+    ]
     for path in sorted(OUTPUT_DIR.glob("*.txt")):
         text = path.read_text().splitlines()
         summaries = [line for line in text if line.startswith("summary:")]

@@ -9,20 +9,12 @@ the kernels layer: run it before and after touching anything under
 compressors, and check the per-line primitives have not crept back up
 the profile.
 
-``--compare-batch`` profiles the *encode pipeline itself* instead of a
-simulation: the same recurrent line stream is pushed through scalar
-``encode()`` and through ``encode_batch()`` with per-stage metrics on,
-and the two stage profiles are printed side by side (scalar stages vs
-their ``search.batch.*`` counterparts) with the lines/s headline.
-
 Usage::
 
     python tools/profile_hotpath.py
     python tools/profile_hotpath.py --benchmark omnetpp --scheme lbe
     python tools/profile_hotpath.py --accesses 20000 --sort cumtime --top 40
     python tools/profile_hotpath.py --output /tmp/hotpath.prof
-    python tools/profile_hotpath.py --compare-batch --lines 4000
-    python tools/profile_hotpath.py --compare-batch --batch-backend pure
 """
 
 from __future__ import annotations
@@ -31,174 +23,12 @@ import argparse
 import cProfile
 import pathlib
 import pstats
-import random
-import struct
 import sys
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.base import SCALES, memlink_config  # noqa: E402
 from repro.sim.memlink import MemLinkSimulation  # noqa: E402
-
-
-# ----------------------------------------------------------------------
-# Scalar vs batch: per-stage comparison of the encode pipeline
-# ----------------------------------------------------------------------
-
-_WORDS_PER_LINE = 16
-_RESIDENT_LINES = 512
-
-#: Scalar stage -> batched stage doing the same job. The batch path
-#: fuses prerank/cbv differently, so the mapping is by pipeline role.
-_STAGE_PAIRS = [
-    ("search.extract", "search.batch.extract"),
-    ("search.probe", "search.batch.probe"),
-    ("search.prerank", "search.batch.rank"),
-    ("search.cbv", "search.batch.resolve"),
-    ("search.select", "search.batch.select"),
-    ("encode.diff", "encode.diff"),
-    ("encode.fill", "encode.fill"),
-]
-
-
-def _make_lines(count: int, seed: int = 7):
-    """Near-duplicate recurrent stream (mirrors bench_hotpath)."""
-    rng = random.Random(seed)
-    base = [rng.getrandbits(32) | 0x01000000 for _ in range(_WORDS_PER_LINE)]
-    lines = []
-    for i in range(count):
-        words = list(base)
-        for _ in range(rng.randrange(0, 6)):
-            words[rng.randrange(_WORDS_PER_LINE)] = rng.getrandbits(32)
-        if i % 4 == 0:
-            base = [
-                rng.getrandbits(32) | 0x01000000
-                for _ in range(_WORDS_PER_LINE)
-            ]
-        lines.append(struct.pack(f"<{_WORDS_PER_LINE}I", *words))
-    return lines
-
-
-def _build_encoder():
-    from repro.cache.line import CoherenceState
-    from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
-    from repro.core.config import CableConfig
-    from repro.core.encoder import CableHomeEncoder
-
-    geometry = CacheGeometry(64 * 1024, 8)
-    home = SetAssociativeCache(geometry, name="l4")
-    encoder = CableHomeEncoder(CableConfig(), home, geometry)
-    for addr, data in enumerate(_make_lines(_RESIDENT_LINES)):
-        way, __ = home.install(addr * 64, data, state=CoherenceState.SHARED)
-        lid = home.lineid(home.index_of(addr * 64), way)
-        encoder.wmt.install(lid, lid)
-        for sig in encoder.extractor.index_signatures(data):
-            encoder.hash_table.insert(sig, lid)
-    return encoder
-
-
-def _stage_profile(run, warm):
-    """(stage -> (count, total_ms), elapsed_seconds) of one timed run."""
-    from repro.obs.registry import METRICS
-    from repro.obs.report import stage_rows
-
-    warm()
-    METRICS.enable()
-    METRICS.reset()
-    t0 = time.perf_counter()
-    run()
-    elapsed = time.perf_counter() - t0
-    METRICS.disable()
-    rows = {row.stage: (row.count, row.total_ms) for row in stage_rows(METRICS)}
-    METRICS.reset()
-    return rows, elapsed
-
-
-def compare_batch(lines: int, block_size: int, backend) -> int:
-    from repro.obs.report import kernel_header
-
-    stream = _make_lines(lines, seed=11)
-    scalar = _build_encoder()
-    batched = _build_encoder()
-    items = [(0, data, None) for data in stream]
-
-    # Both paths get the same partial warm (memo caches hot, most of
-    # the stream unseen) so the batched stages record real work — a
-    # fully-warm batch pass answers from the cross-block result cache
-    # and every stage reads 0. Steady state is timed separately below.
-    scalar_rows, scalar_s = _stage_profile(
-        lambda: [scalar.encode(0, data, None) for data in stream],
-        warm=lambda: [scalar.encode(0, data, None) for data in stream[:200]],
-    )
-    batch_rows, batch_s = _stage_profile(
-        lambda: batched.encode_batch(items, block_size=block_size, backend=backend),
-        warm=lambda: batched.encode_batch(
-            items[:200], block_size=block_size, backend=backend
-        ),
-    )
-    t0 = time.perf_counter()
-    batched.encode_batch(items, block_size=block_size, backend=backend)
-    steady_s = time.perf_counter() - t0
-
-    print(kernel_header())
-    print(
-        f"{lines:,} recurrent lines, block_size={block_size}"
-        + (f", backend={backend}" if backend else "")
-    )
-    print()
-    headers = (
-        "stage (scalar vs batch)",
-        "scalar ms",
-        "batch ms",
-        "speedup",
-    )
-    rows = []
-    for scalar_name, batch_name in _STAGE_PAIRS:
-        s_ms = scalar_rows.get(scalar_name, (0, 0.0))[1]
-        b_ms = batch_rows.get(batch_name, (0, 0.0))[1]
-        if not s_ms and not b_ms:
-            continue
-        label = (
-            scalar_name
-            if scalar_name == batch_name
-            else f"{scalar_name} -> {batch_name}"
-        )
-        speed = f"{s_ms / b_ms:.1f}x" if s_ms and b_ms else "-"
-        rows.append((label, f"{s_ms:,.2f}", f"{b_ms:,.2f}", speed))
-    rows.append(
-        (
-            "TOTAL (wall)",
-            f"{scalar_s * 1e3:,.2f}",
-            f"{batch_s * 1e3:,.2f}",
-            f"{scalar_s / batch_s:.1f}x",
-        )
-    )
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        for i in range(len(headers))
-    ]
-    print(
-        "  ".join(
-            h.ljust(w) if i == 0 else h.rjust(w)
-            for i, (h, w) in enumerate(zip(headers, widths))
-        )
-    )
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print(
-            "  ".join(
-                cell.ljust(w) if i == 0 else cell.rjust(w)
-                for i, (cell, w) in enumerate(zip(row, widths))
-            )
-        )
-    print()
-    print(
-        f"scalar: {lines / scalar_s:,.0f} lines/s   "
-        f"batch (cold result cache): {lines / batch_s:,.0f} lines/s   "
-        f"batch (steady state): {lines / steady_s:,.0f} lines/s"
-    )
-    return 0
 
 
 def main(argv=None) -> int:
@@ -226,38 +56,7 @@ def main(argv=None) -> int:
         default=None,
         help="also dump raw profile data here (for snakeviz/pstats)",
     )
-    parser.add_argument(
-        "--compare-batch",
-        action="store_true",
-        help="profile scalar encode() vs encode_batch() per stage "
-        "instead of cProfiling a simulation",
-    )
-    parser.add_argument(
-        "--lines",
-        type=int,
-        default=2000,
-        help="recurrent stream length for --compare-batch",
-    )
-    parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="encode_batch block size for --compare-batch "
-        "(default: the config knob)",
-    )
-    parser.add_argument(
-        "--batch-backend",
-        choices=["numpy", "pure"],
-        default=None,
-        help="pin the batch kernel leg for --compare-batch",
-    )
     args = parser.parse_args(argv)
-
-    if args.compare_batch:
-        from repro.core.config import CableConfig
-
-        block = args.block_size or CableConfig().batch_block_size
-        return compare_batch(args.lines, block, args.batch_backend)
 
     overrides = {"scheme": args.scheme}
     if args.accesses is not None:
