@@ -498,9 +498,11 @@ class CableLinkPair:
         self._resync_session = None
         if config.durability is not None:
             self._arm_durability(config.durability)
-        # Warm-standby replication (repro.replica): armed on demand via
-        # arm_replication(); maps side -> Replicator.
-        self.replicators = None
+        # Replication slot (repro.replica): the journal shipper keeping
+        # a warm standby of both endpoints — an in-process WarmStandby
+        # (arm_replication) or a cluster worker's SessionShipper. All
+        # the pair ever calls on it is pump(force) and reseed().
+        self.replica = None
         pair.add_observer(self._on_event)
 
     def _arm_durability(self, policy) -> None:
@@ -704,7 +706,7 @@ class CableLinkPair:
                 layer.health.bump("breaker_recoveries")
         elif breaker.record(not delivery.degraded):
             layer.health.bump("breaker_trips")
-            if layer.policy.failover_on_trip and self.replicators:
+            if layer.policy.failover_on_trip and self.replica is not None:
                 # A tripping primary is a failing primary: promote the
                 # warm standby instead of limping through cooldown.
                 self.failover()
@@ -728,13 +730,21 @@ class CableLinkPair:
             self.recovery_layer.health.bump("resyncs")
             self.recovery_layer.health.bump("resync_repairs", report.repairs)
         if report.repairs:
-            # Bulk repairs bypass the journal hooks; re-baseline the
-            # durability managers so a later replay starts from the
-            # repaired image.
-            for manager in (self.home_state, self.remote_state):
-                if manager is not None:
-                    manager.checkpoint()
+            self._rebaseline()
         return report
+
+    def _rebaseline(self) -> None:
+        """Follow a journal-bypassing bulk mutation (audit repair, hash
+        reshape, warm promotion): checkpoint both durability managers
+        so a later replay starts from the new image, and reseed the
+        replica slot so its standby does too — a standby left on the
+        old image would replay later batches on top of it and could
+        still claim the primary's progress."""
+        for manager in (self.home_state, self.remote_state):
+            if manager is not None:
+                manager.checkpoint()
+        if self.replica is not None:
+            self.replica.reseed()
 
     # ------------------------------------------------------------------
     # Crash / restart (repro.state + epoch resync)
@@ -901,15 +911,15 @@ class CableLinkPair:
 
         This is the single safe point for online tuning
         (:mod:`repro.tune`): callers invoke it only at epoch
-        boundaries. The protocol, in order: flush any replication
-        backlog (so the standby's journal ends at a consistent
-        pre-change point), rebind the config on both endpoints and
-        drop every config-derived memo, swap compressor engines (and
-        the wire format with them), then re-shape and rebuild the hash
-        tables from cache ground truth if the geometry moved — with
-        journaling suspended, followed by a fresh checkpoint and
-        standby reseed, exactly the bulk-mutation rule the durability
-        managers document.
+        boundaries. The protocol, in order: flush the replica slot's
+        backlog (so the standby's journal, in-process or on a buddy
+        worker, ends at a consistent pre-change point), rebind the
+        config on both endpoints and drop every config-derived memo,
+        swap compressor engines (and the wire format with them), then
+        re-shape and rebuild the hash tables from cache ground truth if
+        the geometry moved — with journaling suspended, followed by
+        :meth:`_rebaseline`, exactly the bulk-mutation rule the
+        durability managers document.
 
         Returns the set of field names that actually changed (empty
         when *target* equals the current config — a no-op).
@@ -926,9 +936,8 @@ class CableLinkPair:
             raise ValueError(
                 f"config fields {sorted(illegal)} cannot change on a live pair"
             )
-        if self.replicators:
-            for replicator in self.replicators.values():
-                replicator.pump(force=True)
+        if self.replica is not None:
+            self.replica.pump(force=True)
         self.config = target
         for endpoint in (self.home_encoder, self.remote_decoder):
             endpoint.config = target
@@ -973,11 +982,7 @@ class CableLinkPair:
         finally:
             for manager in managers:
                 manager.suspended = False
-        for manager in managers:
-            manager.checkpoint()
-        if self.replicators:
-            for replicator in self.replicators.values():
-                replicator.reseed()
+        self._rebaseline()
 
     def _rebuild_home_metadata(self) -> None:
         """Reindex the home hash table from the WMT's ground truth.
@@ -1009,29 +1014,29 @@ class CableLinkPair:
     # Warm-standby replication / failover (repro.replica)
     # ------------------------------------------------------------------
 
-    def arm_replication(self, policy=None, ship_faults=None):
-        """Attach a warm standby to each endpoint's metadata journal.
+    def arm_replication(self, policy=None, ship_fault=None):
+        """Attach an in-process warm standby to both endpoints' journals.
 
         *policy* is a :class:`repro.replica.plan.ReplicationPolicy`
-        (defaulted); *ship_faults* optionally maps side name to a
-        stream-sabotage hook (see :class:`repro.replica.replicator.
-        Replicator`). Requires the durability managers — replication
-        ships the journal they maintain. Returns the replicator map.
+        (defaulted); *ship_fault* optionally sabotages every shipped
+        batch (see :class:`repro.replica.standby.WarmStandby`).
+        Requires the durability managers — replication ships the
+        journal they maintain. Returns the standby, which occupies the
+        :attr:`replica` slot.
         """
         from repro.replica.plan import ReplicationPolicy
-        from repro.replica.replicator import Replicator
+        from repro.replica.standby import WarmStandby
 
         if self.home_state is None or self.remote_state is None:
             raise RuntimeError(
                 "replication requires durability (set config.durability)"
             )
-        policy = policy or ReplicationPolicy()
-        hooks = ship_faults or {}
-        self.replicators = {
-            "home": Replicator(self.home_state, policy, hooks.get("home")),
-            "remote": Replicator(self.remote_state, policy, hooks.get("remote")),
-        }
-        return self.replicators
+        self.replica = WarmStandby(
+            {"home": self.home_state, "remote": self.remote_state},
+            policy or ReplicationPolicy(),
+            ship_fault,
+        )
+        return self.replica
 
     def failover(self) -> "FailoverOutcome":
         """Kill the primary's metadata and promote the warm standby.
@@ -1049,13 +1054,15 @@ class CableLinkPair:
         Each manager checkpoints on the promoted image, bumping the
         epoch — live sessions observe the bump and stale resumes are
         redirected through the resync-before-grant path. Finally the
-        replicators reseed, the old primary rejoining as the new
-        standby.
+        standby reseeds exactly once, the old primary rejoining as the
+        new standby.
         """
         from repro.link.recovery import EpochResync
+        from repro.replica.standby import WarmStandby
         from repro.state.manager import RestoreResult
 
-        if not self.replicators:
+        replica = self.replica
+        if not isinstance(replica, WarmStandby):
             raise RuntimeError("failover requires arm_replication() first")
         layer = self.recovery_layer
         if layer is None:
@@ -1065,9 +1072,8 @@ class CableLinkPair:
         hot = True
         for side in ("home", "remote"):
             manager = self.home_state if side == "home" else self.remote_state
-            replicator = self.replicators[side]
             expected = manager.expected_progress()
-            lost, clean, sections = replicator.kill_primary()
+            lost, clean, sections = replica.kill_primary(side)
             lost_total += lost
             self._wipe_volatile(side)
             manager.suspended = True
@@ -1076,7 +1082,7 @@ class CableLinkPair:
                     manager.structures[name].restore_state(image)
             finally:
                 manager.suspended = False
-            standby = replicator.standby
+            standby = replica.standbys[side]
             promoted = RestoreResult(
                 base_epoch=standby.applied_progress[0],
                 records_replayed=standby.stats["records_applied"],
@@ -1089,16 +1095,13 @@ class CableLinkPair:
                 hot = False
             manager.checkpoint()
         layer.health.bump("replication_lost_records", lost_total)
-        if hot:
-            layer.health.bump("hot_promotions")
-        else:
-            layer.health.bump("warm_promotions")
-            # The standby image predates the lost journal tail; the
-            # auditor repairs it against the surviving cache arrays and
-            # re-baselines the managers.
-            self.resync()
-        for replicator in self.replicators.values():
-            replicator.reseed()
+        layer.health.bump("hot_promotions" if hot else "warm_promotions")
+        # A warm image predates the lost journal tail: the auditor
+        # repairs it against the surviving cache arrays, and a
+        # repairing resync re-baselines — reseeding the standby — by
+        # itself. Otherwise the reseed is all that is left to do.
+        if hot or not self.resync().repairs:
+            replica.reseed()
         if METRICS.enabled:
             METRICS.counter(
                 "replica.promotions_hot" if hot else "replica.promotions_warm"

@@ -138,7 +138,7 @@ class SignatureHashTable:
         checkpoint (reshaping bypasses the journal, and old snapshots
         no longer match the new shape). Mutating in place rather than
         swapping the object keeps every live reference (pipelines,
-        durability managers, replicators) valid.
+        durability managers, journal shippers) valid.
         """
         if entries < 1:
             raise ValueError("hash table needs at least one entry")

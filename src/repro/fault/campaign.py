@@ -158,6 +158,45 @@ def run_campaign(
         plan, policy, config=config, seed=plan.seed, breaker_clock=breaker_clock
     )
     report = CampaignReport(plan=plan, policy=policy)
+    report.final_repairs = _drive_campaign(
+        link, report, accesses, addresses, write_fraction, seed, breaker_clock
+    )
+    report.fault_stats = link.recovery_layer.fault_stats()
+    report.faults_injected = report.health.get("faults_injected", 0)
+    report.transfers = report.health.get("transfers", 0)
+    if METRICS.enabled:
+        _publish_campaign(
+            "campaign",
+            accesses=report.accesses,
+            transfers=report.transfers,
+            faults_injected=report.faults_injected,
+            link_failures=report.link_failures,
+            silent_corruptions=report.silent_corruptions,
+            final_repairs=report.final_repairs,
+        )
+    return report
+
+
+def _drive_campaign(
+    link: CableLinkPair,
+    report,
+    accesses: int,
+    addresses: int,
+    write_fraction: float,
+    seed: int,
+    breaker_clock: Optional[SimulatedClock],
+    step: Optional[Callable[[], None]] = None,
+) -> int:
+    """The access loop and closing audit both link campaigns share.
+
+    Drives *accesses* seeded accesses (writes stamp the access index
+    into the line), calling *step* after each one — the crash
+    campaign's kill roll. Then it settles the link: finishes any
+    in-flight rebuild, records health and silent corruptions on
+    *report*, runs the closing resync (whatever metadata the injectors
+    wrecked must be repairable) and a clean audit. Returns the closing
+    resync's repair count.
+    """
     rng = random.Random(seed)
     for i in range(accesses):
         addr = rng.randrange(addresses)
@@ -181,30 +220,17 @@ def run_campaign(
             # escape doesn't mask others.
             pass
         report.accesses += 1
+        if step is not None:
+            step()
 
+    link.drain_resync()
     report.health = link.health
-    report.fault_stats = link.recovery_layer.fault_stats()
-    report.faults_injected = report.health.get("faults_injected", 0)
-    report.transfers = report.health.get("transfers", 0)
     report.silent_corruptions = report.health.get("silent_corruptions", 0)
-    # Closing resync: whatever metadata the injectors wrecked must be
-    # repairable, and a clean audit must pass afterwards.
-    repair_report = link.resync()
-    report.final_repairs = repair_report.repairs
+    repairs = link.resync().repairs
     from repro.core.sync import audit
 
     report.final_audit_ok = audit(link).ok
-    if METRICS.enabled:
-        _publish_campaign(
-            "campaign",
-            accesses=report.accesses,
-            transfers=report.transfers,
-            faults_injected=report.faults_injected,
-            link_failures=report.link_failures,
-            silent_corruptions=report.silent_corruptions,
-            final_repairs=report.final_repairs,
-        )
-    return report
+    return repairs
 
 
 def _publish_campaign(prefix: str, **values: int) -> None:
@@ -325,42 +351,24 @@ def run_crash_campaign(
     chunk = durability_cfg.resync_chunk_sets if durability_cfg else 4
     remote_sets = link.pair.remote.geometry.sets
     report.recovery_transfer_bound = -(-remote_sets // chunk)
-    rng = random.Random(seed)
-    for i in range(accesses):
-        addr = rng.randrange(addresses)
-        is_write = rng.random() < write_fraction
-        write_data = None
-        if is_write:
-            data = bytearray(link.backing_read(addr))
-            struct.pack_into("<I", data, 0, i)
-            write_data = bytes(data)
-        if breaker_clock is not None:
-            breaker_clock.tick()
-        try:
-            link.access(addr, is_write=is_write, write_data=write_data)
-        except LinkRecoveryError:
-            report.link_failures += 1
-        except DecompressionError:
-            pass
-        report.accesses += 1
+
+    def crash_step() -> None:
         side = crasher.decide()
-        if side is not None:
-            sabotage = crasher.sabotage_for(side)
-            with trace("state.crash_recovery"):
-                path = link.crash_endpoint(
-                    side, sabotage=sabotage, sabotage_rng=crasher.rng
-                )
-            report.kill_points += 1
-            report.outcomes[path] = report.outcomes.get(path, 0) + 1
+        if side is None:
+            return
+        sabotage = crasher.sabotage_for(side)
+        with trace("state.crash_recovery"):
+            path = link.crash_endpoint(
+                side, sabotage=sabotage, sabotage_rng=crasher.rng
+            )
+        report.kill_points += 1
+        report.outcomes[path] = report.outcomes.get(path, 0) + 1
 
-    link.drain_resync()
-    report.health = link.health
+    _drive_campaign(
+        link, report, accesses, addresses, write_fraction, seed,
+        breaker_clock, crash_step,
+    )
     report.crash_stats = dict(crasher.stats)
-    report.silent_corruptions = report.health.get("silent_corruptions", 0)
-    link.resync()
-    from repro.core.sync import audit
-
-    report.final_audit_ok = audit(link).ok
     if METRICS.enabled:
         _publish_campaign(
             "crash_campaign",

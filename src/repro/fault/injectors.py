@@ -316,10 +316,10 @@ class FailoverInjector:
     repeatable: ``decide_kill`` is rolled once per completed access
     (scripted kill points fire exactly once each, then ``kill_rate``
     rolls a randomized kill), and ``ship`` sits on the replication
-    channel as the :class:`~repro.replica.replicator.Replicator`
-    ``ship_fault`` hook, losing or corrupting encoded journal batches
-    so the standby's checksum/gap detection machinery is exercised
-    under real traffic.
+    channel as the :class:`~repro.replica.standby.WarmStandby`
+    ``ship_fault`` hook (one stream for both endpoint journals),
+    losing or corrupting encoded journal batches so the standby's
+    checksum/gap detection machinery is exercised under real traffic.
     """
 
     def __init__(self, plan) -> None:

@@ -10,6 +10,11 @@ gap and falls back to snapshot-based catch-up, and can be *promoted*
 mid-traffic when the primary dies — the old primary then rejoins as
 the new standby.
 
+One :class:`JournalShipper` per endpoint journal cuts the batches for
+both senders: :class:`WarmStandby` (an in-process standby) and
+:class:`SessionShipper` (a buddy worker's, across a byte stream).
+Either one occupies a link pair's single ``replica`` slot.
+
 Layering: this package depends on :mod:`repro.state` and
 :mod:`repro.core.errors` only. The link layer
 (:class:`repro.core.encoder.CableLinkPair`) arms it and drives
@@ -19,17 +24,18 @@ failover; the serve layer threads promotion through live sessions.
 from repro.replica.batch import JournalBatch, decode_batch, encode_batch
 from repro.replica.plan import FailoverPlan, ReplicationPolicy
 from repro.replica.remote import SessionShipper, StandbySessionHost
-from repro.replica.replicator import Replicator
-from repro.replica.standby import StandbyReplica
+from repro.replica.shipper import JournalShipper
+from repro.replica.standby import StandbyReplica, WarmStandby
 
 __all__ = [
     "FailoverPlan",
     "JournalBatch",
+    "JournalShipper",
     "ReplicationPolicy",
-    "Replicator",
     "SessionShipper",
     "StandbySessionHost",
     "StandbyReplica",
+    "WarmStandby",
     "decode_batch",
     "encode_batch",
 ]

@@ -3,8 +3,9 @@
 Pure-stdlib leaf module (the :mod:`repro.fault.plan` pattern): frozen,
 hashable dataclasses that experiment sweeps can embed in memoization
 keys. The policy is turned into behaviour by
-:class:`repro.replica.replicator.Replicator`; the kill schedule is
-turned into deterministic RNG streams by
+:class:`repro.replica.shipper.JournalShipper` (for the in-process
+standby and the buddy worker alike); the kill schedule is turned into
+deterministic RNG streams by
 :class:`repro.fault.injectors.FailoverInjector`.
 """
 

@@ -1,24 +1,25 @@
 """Cross-process replication: journal batches over a byte stream.
 
-:mod:`repro.replica.replicator` tees one endpoint's journal into an
-in-process :class:`~repro.replica.standby.StandbyReplica`. This module
-stretches the same channel across a process boundary so a *buddy
-worker* can hold warm standbys for every session a sibling worker
-hosts — the substrate of the cluster layer's cross-process failover
-(:mod:`repro.serve.cluster`).
+:class:`~repro.replica.standby.WarmStandby` feeds one endpoint's
+journal into an in-process :class:`~repro.replica.standby.
+StandbyReplica`. This module stretches the same channel across a
+process boundary so a *buddy worker* can hold warm standbys for every
+session a sibling worker hosts — the substrate of the cluster layer's
+cross-process failover (:mod:`repro.serve.cluster`).
 
 Primary side, per session, a :class:`SessionShipper`:
 
-- tees both endpoint managers' journal appends (exactly the
-  :class:`~repro.replica.replicator.Replicator` subscription — the
-  two are mutually exclusive per session);
-- cuts the same CRC-guarded ``CBRB`` batches and sends them as
-  ``SHIP_BATCH`` stream records on the buddy connection;
+- runs one :class:`~repro.replica.shipper.JournalShipper` per endpoint
+  journal — the same tee, backlog and batch cut as the in-process
+  standby, in the same ``CableLinkPair.replica`` slot (one journal
+  tee per session) — and sends each CRC-guarded ``CBRB`` batch as a
+  ``SHIP_BATCH`` stream record on the buddy connection;
 - tees backing-store writes (``SessionState.on_store_write``) into
   ``SHIP_STORE`` records — post-promotion the buddy must serve the
   *written* data, not the deterministic synthetic original;
-- seeds (and re-seeds on buddy change) with a ``SHIP_SEED`` carrying
-  a live snapshot cut per side plus the store contents.
+- seeds (and re-seeds on a buddy change or after a journal-bypassing
+  bulk mutation) with a ``SHIP_SEED`` carrying a live snapshot cut
+  per side plus the store contents.
 
 Buddy side, a :class:`StandbySessionHost` consumes the stream into
 *shadow sessions*: full :class:`repro.serve.session.Session` objects,
@@ -47,14 +48,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import BatchIntegrityError, ReplicationError
 from repro.obs.registry import METRICS
-from repro.replica.batch import JournalBatch, encode_batch
 from repro.replica.plan import ReplicationPolicy
+from repro.replica.shipper import SHIPPER_STATS, JournalShipper
 from repro.replica.standby import StandbyReplica
-from repro.state.snapshot import write_snapshot
 
 # Stream-record channels of the replica link (disjoint from the serve
 # protocol's 0x01-0x09 — the replica connection is separate, but keep
@@ -260,57 +261,41 @@ class SessionShipper:
 
     *send* is a callable taking ``(channel, payload bytes)`` — the
     cluster worker binds it to the buddy connection's sender. The
-    shipper installs itself as ``session.state.shipper`` so the serve
-    worker's per-access flush cadence reaches :meth:`pump`.
+    shipper occupies the session pair's replica slot
+    (``CableLinkPair.replica``), so the serve worker's flush cadence,
+    ``apply_config`` and the drain reach :meth:`pump`, and a
+    journal-bypassing bulk mutation re-seeds the buddy.
     """
 
     def __init__(self, session, send, policy: Optional[ReplicationPolicy] = None) -> None:
         state = session.state
-        if state.replicated:
-            raise ReplicationError(
-                "cross-process shipping and in-process replication are "
-                "mutually exclusive per session (one journal tee)"
-            )
-        self.session = session
+        pair = state.pair
         self.state = state
         self.send = send
-        self.policy = policy or ReplicationPolicy()
-        self.managers = {
-            "home": state.pair.home_state,
-            "remote": state.pair.remote_state,
-        }
-        for side, manager in self.managers.items():
+        managers = {"home": pair.home_state, "remote": pair.remote_state}
+        for side, manager in managers.items():
             if manager is None:
                 raise ReplicationError(
                     f"shipping requires durability on the {side} side"
                 )
-        self._pending: Dict[str, List] = {side: [] for side in SIDES}
-        self._next_seq: Dict[str, int] = {side: 0 for side in SIDES}
-        self.stats = {
-            "seeds": 0,
-            "batches_shipped": 0,
-            "records_shipped": 0,
-            "bytes_shipped": 0,
-            "store_writes_shipped": 0,
-            "catch_ups": 0,
-            "lag_peak": 0,
+        self.stats = dict.fromkeys(
+            SHIPPER_STATS + ("seeds", "bytes_shipped", "store_writes_shipped"), 0
+        )
+        policy = policy or ReplicationPolicy()
+        self.shippers = {
+            side: JournalShipper(
+                manager, policy, partial(self._ship_batch, side), self.stats
+            )
+            for side, manager in managers.items()
         }
-        for side in SIDES:
-            self.managers[side].journal.on_append = self._tee(side)
         state.on_store_write = self._on_store_write
-        state.shipper = self
-        self.seed()
+        pair.replica = self
+        self.reseed()
 
-    def _tee(self, side: str):
-        def on_append(record) -> None:
-            pending = self._pending[side]
-            pending.append(record)
-            if len(pending) > self.stats["lag_peak"]:
-                self.stats["lag_peak"] = len(pending)
-            if len(pending) >= self.policy.max_lag_records:
-                self._pump_side(side, force=False)
-
-        return on_append
+    def _ship_batch(self, side: str, blob: bytes) -> None:
+        self._emit(
+            SHIP_BATCH, encode_ship_batch(self.state.client_tag, side, blob)
+        )
 
     def _on_store_write(self, addr: int, data: bytes) -> None:
         self._emit(
@@ -324,23 +309,14 @@ class SessionShipper:
 
     # -- lifecycle -----------------------------------------------------
 
-    def seed(self) -> None:
+    def reseed(self) -> None:
         """Ship a full baseline (snapshot per side + store contents)
-        and restart the batch sequence — called at arm time and again
-        whenever the buddy changes."""
+        and restart the batch sequences — at arm time, whenever the
+        buddy changes, and after a journal-bypassing bulk mutation."""
         sides = {}
-        for side in SIDES:
-            manager = self.managers[side]
-            sections = {
-                name: structure.snapshot_state()
-                for name, structure in manager.structures.items()
-            }
-            sides[side] = (
-                manager.expected_progress(),
-                write_snapshot(manager.epoch, sections),
-            )
-            self._pending[side].clear()
-            self._next_seq[side] = 0
+        for side, shipper in self.shippers.items():
+            shipper.restart()
+            sides[side] = shipper.snapshot()
         self._emit(
             SHIP_SEED,
             encode_seed(self.state.client_tag, self.state.store, sides),
@@ -352,72 +328,23 @@ class SessionShipper:
     def rebind(self, send) -> None:
         """Point at a new buddy connection and re-baseline."""
         self.send = send
-        self.seed()
-
-    def detach(self) -> None:
-        for side in SIDES:
-            self.managers[side].journal.on_append = None
-        self.state.on_store_write = None
-        self.state.shipper = None
+        self.reseed()
 
     # -- shipping ------------------------------------------------------
 
     def pump(self, force: bool = False) -> int:
-        return sum(self._pump_side(side, force) for side in SIDES)
-
-    def _pump_side(self, side: str, force: bool) -> int:
-        manager = self.managers[side]
-        pending = self._pending[side]
-        shipped = 0
-        while pending and (len(pending) >= self.policy.batch_records or force):
-            cut = pending[: self.policy.batch_records]
-            del pending[: len(cut)]
-            # Progress through the end of this cut, not the primary's
-            # head — same adjudication-soundness argument as the
-            # in-process Replicator.
-            epoch, total = manager.expected_progress()
-            batch = JournalBatch(
-                seq=self._next_seq[side],
-                progress=(epoch, total - len(pending)),
-                records=tuple(cut),
-            )
-            self._next_seq[side] += 1
-            self._emit(
-                SHIP_BATCH,
-                encode_ship_batch(
-                    self.state.client_tag, side, encode_batch(batch)
-                ),
-            )
-            self.stats["batches_shipped"] += 1
-            self.stats["records_shipped"] += len(cut)
-            shipped += 1
-        return shipped
+        """Ship both journals' backlogs; returns batches shipped."""
+        return sum(shipper.pump(force) for shipper in self.shippers.values())
 
     def catch_up(self, side: str) -> None:
-        """Answer a host catch-up request with a live snapshot cut.
-
-        The backlog for that side is dropped — the snapshot already
-        includes every journaled record's effect; shipping it after
-        would double-apply (same rule as
-        :meth:`repro.replica.replicator.Replicator.catch_up`)."""
-        manager = self.managers[side]
-        sections = {
-            name: structure.snapshot_state()
-            for name, structure in manager.structures.items()
-        }
-        blob = write_snapshot(manager.epoch, sections)
-        self._pending[side].clear()
+        """Answer a host catch-up request with a live snapshot cut."""
+        progress, next_seq, blob = self.shippers[side].catch_up()
         self._emit(
             SHIP_CATCHUP,
             encode_ship_catchup(
-                self.state.client_tag,
-                side,
-                manager.expected_progress(),
-                self._next_seq[side],
-                blob,
+                self.state.client_tag, side, progress, next_seq, blob
             ),
         )
-        self.stats["catch_ups"] += 1
         if METRICS.enabled:
             METRICS.counter("cluster.catch_ups_shipped").inc()
 

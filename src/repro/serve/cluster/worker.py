@@ -11,9 +11,9 @@ spawns. Each worker process runs:
   :class:`~repro.replica.remote.StandbySessionHost` with whatever
   siblings ship to it;
 - an outbound ship link to its buddy: every session the manager opens
-  (or adopts) gets a :class:`~repro.replica.remote.SessionShipper`
-  pointed down that link, and the link's return direction carries the
-  buddy's catch-up requests;
+  (or adopts) gets a :class:`~repro.replica.remote.SessionShipper` in
+  its pair's replica slot, pointed down that link, and the link's
+  return direction carries the buddy's catch-up requests;
 - a control connection back to the supervisor: READY with the bound
   ports, heartbeats, and the command surface (BUDDY / PROMOTE / DRAIN
   plus the HANG / SLOW fault hooks the kill campaign uses).
@@ -106,8 +106,9 @@ class ClusterWorker:
     # ------------------------------------------------------------------
 
     def _arm_session(self, session) -> None:
-        """Manager hook: a session was opened or adopted — ship it."""
-        if self._ship_sender is None or session.state.shipper is not None:
+        """Manager hook: a session was opened or adopted — ship it
+        (unless its replica slot is already occupied)."""
+        if self._ship_sender is None or session.pair.replica is not None:
             return
         SessionShipper(session, self._ship_send)
 
@@ -135,10 +136,10 @@ class ClusterWorker:
         # Arm newly shippable sessions; rebind the already-armed ones so
         # the new buddy gets a fresh baseline.
         for session in list(self.manager.sessions.values()):
-            shipper = session.state.shipper
+            shipper = _shipper(session)
             if shipper is None:
                 try:
-                    SessionShipper(session, self._ship_send)
+                    self._arm_session(session)
                 except Exception:
                     continue  # e.g. durability disarmed; serve it unshipped
             else:
@@ -214,7 +215,7 @@ class ClusterWorker:
                         continue
                     tag, side = decode_catchup_req(payload)
                     for session in self.manager.sessions.values():
-                        shipper = session.state.shipper
+                        shipper = _shipper(session)
                         if shipper is not None and session.state.client_tag == tag:
                             shipper.catch_up(side)
                             break
@@ -382,7 +383,7 @@ class ClusterWorker:
             "lag_peak": 0,
         }
         for session in self.manager.sessions.values():
-            shipper = session.state.shipper
+            shipper = _shipper(session)
             if shipper is None:
                 continue
             for key in shipping:
@@ -471,6 +472,13 @@ class ClusterWorker:
 
 def _frame(channel: int, payload: bytes) -> bytes:
     return encode_stream_record(channel, payload, len(payload) * 8)
+
+
+def _shipper(session) -> Optional[SessionShipper]:
+    """The buddy shipper in *session*'s replica slot, if that is what
+    occupies it."""
+    replica = session.pair.replica
+    return replica if isinstance(replica, SessionShipper) else None
 
 
 def main(argv=None) -> int:

@@ -122,8 +122,9 @@ class ServeConfig:
     #: Per-session online knob tuning (repro.tune): each session runs
     #: its own wire-safe controller, adapting independently. Knob
     #: changes land only at epoch boundaries through
-    #: :meth:`SessionState._apply_knobs`, which flushes replication /
-    #: shipping around the change so standby journals never tear.
+    #: ``CableLinkPair.apply_config``, which flushes the replica slot
+    #: (in-process standby or buddy worker) before the change so
+    #: standby journals never tear.
     tuning: Optional[TuningPlan] = None
 
     def __post_init__(self) -> None:
@@ -322,29 +323,23 @@ class Session:
             self._ship_frame(index, pos, direction, payload)
             sent += 1
         capture.clear()
-        if self.state.replicated:
-            # Shipper cadence + kill schedule, both keyed to the
-            # per-session access ordinal so campaigns are repeatable
-            # regardless of asyncio interleaving. The flush runs
-            # *before* the kill roll: a kill landing on a flush point
-            # finds an empty backlog and promotes hot.
+        replica = self.state.pair.replica
+        if replica is not None:
+            # Shipper cadence (in-process standby or buddy worker alike)
+            # + kill schedule, both keyed to the per-session access
+            # ordinal so campaigns are repeatable regardless of asyncio
+            # interleaving. The flush runs *before* the kill roll: a
+            # kill landing on a flush point finds an empty backlog and
+            # promotes hot.
             ordinal = self.stats["accesses"]
             if ordinal % max(1, self.config.replica_flush_accesses) == 0:
-                self.state.pump_replication()
+                replica.pump(force=True)
             self.state.maybe_kill_primary(ordinal)
-        if self.state.shipper is not None:
-            # Cross-process shipping rides the same work-keyed cadence
-            # as the in-process replicators, for the same reason: the
-            # standby's lag is bounded by work done, not wall clock.
-            if self.stats["accesses"] % max(
-                1, self.config.replica_flush_accesses
-            ) == 0:
-                self.state.pump_shipping()
         if self.state.tuner is not None:
-            # Ticked after the replication/shipping blocks so an epoch
-            # boundary always sees a freshly flushed backlog; keyed to
-            # the per-session ordinal, so campaigns stay repeatable
-            # under any asyncio interleaving.
+            # Ticked after the replication block so an epoch boundary
+            # always sees a freshly flushed backlog; keyed to the
+            # per-session ordinal, so campaigns stay repeatable under
+            # any asyncio interleaving.
             self.state.tuner.on_access()
         if self.sender is not None:
             epoch, records = self.progress()

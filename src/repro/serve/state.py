@@ -29,6 +29,8 @@ from repro.fault.injectors import FailoverInjector
 from repro.fault.plan import RecoveryPolicy
 from repro.link.wire import wire_format_for
 from repro.obs.registry import METRICS
+from repro.replica.shipper import SHIPPER_STATS
+from repro.replica.standby import WarmStandby
 
 _CTR_RESYNCS = METRICS.counter("serve.session_resyncs")
 _CTR_KILLS = METRICS.counter("replica.primary_kills")
@@ -113,32 +115,22 @@ class SessionState:
             plan = failover_plan.scaled(seed=failover_plan.seed ^ client_tag)
             self.failover_faults = FailoverInjector(plan)
         if replication is not None:
-            hooks = {}
-            if self.failover_faults is not None:
-                hooks = {
-                    "home": self.failover_faults.ship,
-                    "remote": self.failover_faults.ship,
-                }
-            self.pair.arm_replication(replication, hooks)
-        #: Cross-process journal shipper (repro.replica.remote); the
-        #: cluster worker arms it instead of in-process replication.
-        self.shipper = None
+            self.pair.arm_replication(
+                replication,
+                None if self.failover_faults is None else self.failover_faults.ship,
+            )
         #: Per-session online knob controller (repro.tune). Wire-safe
         #: arms only — the client decodes with the format negotiated at
         #: OPEN, so engine/width knobs are off the table here. Knob
-        #: changes route through :meth:`_apply_knobs`, which keeps the
-        #: replication and shipping journals epoch-consistent.
+        #: changes land through ``CableLinkPair.apply_config``, which
+        #: keeps the replica slot's journal epoch-consistent.
         self.tuner = None
         tuning = getattr(config, "tuning", None)
         if tuning is not None:
             from repro.tune.controller import KnobController
 
             self.tuner = KnobController(
-                self.pair,
-                tuning,
-                wire_safe=True,
-                seed_context=(client_tag,),
-                apply_fn=self._apply_knobs,
+                self.pair, tuning, wire_safe=True, seed_context=(client_tag,)
             )
         self.stats = {
             "kills": 0,
@@ -174,21 +166,6 @@ class SessionState:
     # Adaptive tuning (repro.tune)
     # ------------------------------------------------------------------
 
-    def _apply_knobs(self, target) -> None:
-        """Epoch-boundary knob application for this session.
-
-        ``apply_config`` already flushes the in-process replicators;
-        this wrapper extends the same contract to cross-process
-        shipping: drain the buddy's backlog first, and after a hash
-        reshape (a journal-bypassing bulk mutation) re-seed the buddy
-        with a fresh baseline — its shadow can't replay what was never
-        journaled.
-        """
-        self.pump_shipping()
-        changed = self.pair.apply_config(target)
-        if self.shipper is not None and changed & CableLinkPair._GEOMETRY_FIELDS:
-            self.shipper.seed()
-
     def tune_rollup(self) -> Optional[Dict[str, object]]:
         return None if self.tuner is None else self.tuner.rollup()
 
@@ -196,31 +173,13 @@ class SessionState:
     # Replication / failover
     # ------------------------------------------------------------------
 
-    @property
-    def replicated(self) -> bool:
-        return bool(self.pair.replicators)
-
-    def pump_replication(self) -> None:
-        """Flush the replication backlog to the standby (the serve
-        worker calls this every ``replica_flush_accesses`` accesses, so
-        standby lag is bounded by one flush window on top of the
-        policy's structural bound)."""
-        if self.pair.replicators:
-            for replicator in self.pair.replicators.values():
-                replicator.pump(force=True)
-
-    def pump_shipping(self) -> None:
-        """Flush the cross-process shipping backlog to the buddy."""
-        if self.shipper is not None:
-            self.shipper.pump(force=True)
-
     def maybe_kill_primary(self, access_index: int) -> bool:
         """Roll the deterministic kill schedule for one completed
-        access; on a kill, fail over to the warm standby mid-traffic."""
+        access; on a kill, fail over to the warm standby mid-traffic.
+        (A kill schedule implies replication: ``ServeConfig`` refuses
+        one without the other.)"""
         faults = self.failover_faults
-        if faults is None or not self.replicated:
-            return False
-        if not faults.decide_kill(access_index):
+        if faults is None or not faults.decide_kill(access_index):
             return False
         self.kill_primary()
         return True
@@ -239,25 +198,14 @@ class SessionState:
         return outcome.hot
 
     def replica_rollup(self) -> Dict[str, int]:
-        """Replication counters summed across both sides' channels."""
+        """Kill/promotion counters plus the in-process standby's
+        shipping counters (zero without one; a buddy worker's shipping
+        is reported by the cluster worker)."""
+        replica = self.pair.replica
+        in_process = isinstance(replica, WarmStandby)
         rollup = dict(self.stats)
-        rollup.update(
-            {
-                "batches_shipped": 0,
-                "batches_lost": 0,
-                "records_shipped": 0,
-                "catch_ups": 0,
-                "lag_peak": 0,
-            }
-        )
-        if self.pair.replicators:
-            for replicator in self.pair.replicators.values():
-                stats = replicator.stats
-                rollup["batches_shipped"] += stats["batches_shipped"]
-                rollup["batches_lost"] += stats["batches_lost"]
-                rollup["records_shipped"] += stats["records_shipped"]
-                rollup["catch_ups"] += stats["catch_ups"]
-                rollup["lag_peak"] = max(rollup["lag_peak"], stats["lag_peak"])
+        for key in SHIPPER_STATS + ("batches_lost",):
+            rollup[key] = replica.stats[key] if in_process else 0
         return rollup
 
     # ------------------------------------------------------------------
@@ -269,8 +217,8 @@ class SessionState:
         if self.tuner is not None:
             self.tuner.finish()
         self.pair.drain_resync()
-        self.pump_replication()
-        self.pump_shipping()
+        if self.pair.replica is not None:
+            self.pair.replica.pump(force=True)
         self.checkpoint()
 
     def audit_ok(self) -> bool:

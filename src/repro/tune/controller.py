@@ -4,10 +4,10 @@ The controller counts host accesses (``on_access``), waits out a
 warmup, then runs back-to-back *epochs*: at each boundary it settles
 the held arm's reward from the deltas of the pair's existing traffic
 counters and asks the policy for the next arm. Knobs only ever change
-at these boundaries, through :meth:`CableLinkPair.apply_config` (or a
-host-supplied ``apply_fn`` that wraps it), which is what keeps
-replication journals and failover snapshots consistent — mid-epoch the
-configuration is immutable.
+at these boundaries, through :meth:`CableLinkPair.apply_config`, which
+flushes and (after a reshape) reseeds the pair's replica slot — that
+is what keeps replication journals and failover snapshots consistent;
+mid-epoch the configuration is immutable.
 
 Reward per epoch: ``bytes_saved / (1 + data_reads)`` — bits kept off
 the link (raw minus payload-plus-overhead) per unit of search cost
@@ -18,7 +18,7 @@ the epoch. Policies receive it squashed through ``r / (1 + r)`` into
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.registry import METRICS
 from repro.tune.bandit import make_policy
@@ -39,13 +39,11 @@ class KnobController:
         plan: TuningPlan,
         wire_safe: bool = False,
         seed_context: Tuple = (),
-        apply_fn: Optional[Callable[[Any], None]] = None,
     ) -> None:
         self.pair = pair
         self.plan = plan
         self.arms = plan.resolve_arms(wire_safe=wire_safe)
         self.policy = make_policy(plan, self.arms, seed_context)
-        self._apply_fn = apply_fn if apply_fn is not None else pair.apply_config
         # Arm overrides are applied against the config the pair started
         # with, not cumulatively, so arms never interact.
         self._base_config = pair.config
@@ -131,7 +129,7 @@ class KnobController:
     def _apply(self, index: int) -> None:
         arm = self.arms[index]
         target = self._base_config.with_overrides(**arm.config_overrides())
-        self._apply_fn(target)
+        self.pair.apply_config(target)
         self.pair.enabled = self._base_enabled and arm.enabled
         if self.current_index is not None:
             self.switches += 1
@@ -203,7 +201,7 @@ class KnobController:
         assert self.current_index is not None
         arm = self.arms[self.current_index]
         target = self._base_config.with_overrides(**arm.config_overrides())
-        self._apply_fn(target)
+        self.pair.apply_config(target)
         self.pair.enabled = self._base_enabled and arm.enabled
         self._epoch_start = self.accesses
         self._baseline = self._counters()

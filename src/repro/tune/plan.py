@@ -29,10 +29,11 @@ from typing import Any, Dict, Tuple
 WIRE_AFFECTING = frozenset({"engine", "remotelid_bits", "line_bytes"})
 
 #: Knobs that re-shape the signature hash tables. The reshape is a
-#: journal-bypassing bulk mutation: the in-process replicator reseeds
-#: cleanly, but a *cross-process* shadow rebuilds its mirror from a
-#: base-shaped snapshot it cannot reshape, so cluster workers drop
-#: these arms (see :attr:`KnobArm.reshape_free`).
+#: journal-bypassing bulk mutation after which the pair reseeds its
+#: replica slot: an in-process standby reseeds cleanly, but a
+#: *cross-process* shadow rebuilds its mirror from a base-shaped
+#: snapshot it cannot reshape, so cluster workers drop these arms
+#: (see :attr:`KnobArm.reshape_free`).
 GEOMETRY_KNOBS = frozenset({"hash_table_scale", "hash_bucket_entries"})
 
 #: Knobs an arm may override: ``enabled`` plus the CableConfig fields

@@ -237,6 +237,21 @@ class TestShipperHostFlow:
         for side in ("home", "remote"):
             assert shadow.standbys[side].state == "standby"
 
+    def test_apply_config_flushes_the_buddy_backlog(self):
+        # A knob change is an epoch boundary: the buddy's shadow must
+        # hold the pre-change journal in full before the new config
+        # takes effect, as an in-process standby would.
+        session, _shipper, host, _ = make_shipped_session()
+        drive(session, 24)
+        pair = session.pair
+        progress = {
+            "home": pair.home_state.expected_progress(),
+            "remote": pair.remote_state.expected_progress(),
+        }
+        pair.apply_knobs(data_access_count=pair.config.data_access_count + 1)
+        for side, standby in host.shadows[0x51].standbys.items():
+            assert standby.applied_progress == progress[side]
+
     def test_store_writes_reach_the_shadow(self):
         session, shipper, host, _ = make_shipped_session()
         # The store tee fires on real writebacks (dirty evictions), so

@@ -2,7 +2,7 @@
 
 Unit coverage for the replication subsystem: the CRC-guarded batch
 codec (roundtrip + every damage class rejected whole), the standby's
-three-state machine, the replicator's structural lag bound and
+three-state machine, the in-process channel's structural lag bound and
 catch-up path, the hot/warm adjudication at a primary kill — including
 the lost-final-batch case whose gap no later delivery ever exposes —
 and the encoder-level failover that wires it all to the live link.
@@ -31,7 +31,7 @@ from repro.fault.injectors import FailoverInjector
 from repro.fault.plan import FaultPlan, RecoveryPolicy
 from repro.replica.batch import OPS, JournalBatch, decode_batch, encode_batch
 from repro.replica.plan import FailoverPlan, ReplicationPolicy
-from repro.replica.replicator import Replicator
+from repro.replica.standby import WarmStandby
 from repro.state.journal import JournalRecord
 from repro.state.manager import EndpointStateManager
 from repro.state.plan import DurabilityPolicy
@@ -186,62 +186,66 @@ class TestBatchCodec:
 
 
 # ---------------------------------------------------------------------------
-# Standby state machine + replicator channel
+# Standby state machine + in-process replication channel
 # ---------------------------------------------------------------------------
 
 
-def make_replicator(ship_fault=None, batch_records=4, max_lag_records=8):
+def make_warm_standby(ship_fault=None, batch_records=4, max_lag_records=8):
+    """A WarmStandby on one primary journal (its side is "home")."""
     manager, wmt, table, buf = make_manager()
     policy = ReplicationPolicy(
         batch_records=batch_records, max_lag_records=max_lag_records
     )
-    rep = Replicator(manager, policy, ship_fault)
-    return manager, (wmt, table, buf), rep
+    standby = WarmStandby({"home": manager}, policy, ship_fault)
+    return manager, (wmt, table, buf), standby
 
 
 class TestReplicator:
+    """The in-process channel: journal shipper -> WarmStandby."""
+
     def test_lag_bound_is_structural(self):
-        manager, (wmt, table, buf), rep = make_replicator(max_lag_records=8)
+        manager, (wmt, table, buf), rep = make_warm_standby(max_lag_records=8)
         mutate(wmt, table, buf, count=40)
         # 120 journaled records, yet the backlog never exceeded the
         # policy bound: shipping is forced at the threshold, not polled.
         assert rep.stats["lag_peak"] <= 8
-        assert rep.lag_records < 8
+        assert len(rep.shippers["home"].pending) < 8
         rep.pump(force=True)
-        assert rep.lag_records == 0
-        assert rep.standby.clean
-        assert rep.standby.image() == images(manager)
-        assert rep.standby.applied_progress == manager.expected_progress()
+        assert len(rep.shippers["home"].pending) == 0
+        assert rep.standbys["home"].clean
+        assert rep.standbys["home"].image() == images(manager)
+        assert rep.standbys["home"].applied_progress == manager.expected_progress()
 
     def test_batches_arrive_in_sequence(self):
-        manager, (wmt, table, buf), rep = make_replicator()
+        manager, (wmt, table, buf), rep = make_warm_standby()
         mutate(wmt, table, buf, count=12)
         rep.pump(force=True)
-        assert rep.standby.stats["batches_applied"] == rep.stats["batches_shipped"]
-        assert rep.standby.next_seq == rep.stats["batches_shipped"]
+        standby = rep.standbys["home"]
+        assert standby.stats["batches_applied"] == rep.stats["batches_shipped"]
+        assert standby.next_seq == rep.stats["batches_shipped"]
         assert rep.stats["batches_lost"] == 0
 
     def test_dropped_batch_surfaces_as_gap_then_catch_up(self):
         fault = _DropNth(2)
-        manager, (wmt, table, buf), rep = make_replicator(ship_fault=fault)
+        manager, (wmt, table, buf), rep = make_warm_standby(ship_fault=fault)
         mutate(wmt, table, buf, count=12)
         rep.pump(force=True)
         assert rep.stats["batches_lost"] == 1
-        assert rep.standby.stats["gaps_detected"] == 1
+        assert rep.standbys["home"].stats["gaps_detected"] == 1
         assert rep.stats["catch_ups"] == 1
         # Catch-up healed the standby back to a consumable mirror.
-        assert rep.standby.clean
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].clean
+        assert rep.standbys["home"].image() == images(manager)
 
     def test_corrupted_batch_refused_whole_then_catch_up(self):
         fault = _CorruptNth(1)
-        manager, (wmt, table, buf), rep = make_replicator(ship_fault=fault)
+        manager, (wmt, table, buf), rep = make_warm_standby(ship_fault=fault)
         mutate(wmt, table, buf, count=12)
         rep.pump(force=True)
-        assert rep.standby.stats["integrity_failures"] == 1
+        assert rep.standbys["home"].stats["integrity_failures"] == 1
         assert rep.stats["catch_ups"] >= 1
-        assert rep.standby.clean
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].clean
+        assert rep.standbys["home"].image() == images(manager)
 
     def test_catch_up_drops_backlog_no_double_apply(self):
         # Corrupt the first cut while two more sit in the backlog: the
@@ -250,56 +254,56 @@ class TestReplicator:
         # records afterwards would apply them twice (visible on the
         # eviction-buffer ring, which is order/occupancy sensitive).
         fault = _CorruptNth(1)
-        manager, (wmt, table, buf), rep = make_replicator(
+        manager, (wmt, table, buf), rep = make_warm_standby(
             ship_fault=fault, batch_records=4, max_lag_records=100
         )
         mutate(wmt, table, buf, count=4)  # 12 records pending, no auto-pump
         rep.pump(force=True)
         assert rep.stats["catch_ups"] == 1
-        assert rep.lag_records == 0
+        assert len(rep.shippers["home"].pending) == 0
         assert rep.stats["records_shipped"] == 4  # only the corrupted cut
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].image() == images(manager)
         # The channel keeps working after the heal.
         mutate(wmt, table, buf, count=4, seed=1)
         rep.pump(force=True)
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].image() == images(manager)
 
     def test_consume_while_awaiting_catch_up_is_refused(self):
-        manager, (wmt, table, buf), rep = make_replicator(max_lag_records=100)
+        manager, (wmt, table, buf), rep = make_warm_standby(max_lag_records=100)
         mutate(wmt, table, buf, count=2)
-        rep.standby.state = "catching_up"
+        rep.standbys["home"].state = "catching_up"
         blob = encode_batch(JournalBatch(seq=0, progress=(0, 1), records=()))
         with pytest.raises(BatchGapError):
-            rep.standby.consume(blob)
+            rep.standbys["home"].consume(blob)
 
     def test_promote_is_terminal(self):
-        manager, (wmt, table, buf), rep = make_replicator()
+        manager, (wmt, table, buf), rep = make_warm_standby()
         mutate(wmt, table, buf, count=4)
         rep.pump(force=True)
-        rep.standby.promote()
+        rep.standbys["home"].promote()
         blob = encode_batch(JournalBatch(seq=99, progress=(0, 1), records=()))
         with pytest.raises(ReplicationError):
-            rep.standby.consume(blob)
+            rep.standbys["home"].consume(blob)
         with pytest.raises(ReplicationError):
-            rep.standby.catch_up(b"", (0, 0), 0)
+            rep.standbys["home"].catch_up(b"", (0, 0), 0)
 
 
 class TestKillAdjudication:
     def test_kill_after_full_pump_is_clean(self):
-        manager, (wmt, table, buf), rep = make_replicator()
+        manager, (wmt, table, buf), rep = make_warm_standby()
         mutate(wmt, table, buf, count=12)
         rep.pump(force=True)
-        lost, clean, sections = rep.kill_primary()
+        lost, clean, sections = rep.kill_primary("home")
         assert (lost, clean) == (0, True)
         # The promoted image is byte-identical to the dead primary's.
         assert sections == images(manager)
 
     def test_kill_with_backlog_is_lossy(self):
-        manager, (wmt, table, buf), rep = make_replicator(
+        manager, (wmt, table, buf), rep = make_warm_standby(
             batch_records=4, max_lag_records=100
         )
         mutate(wmt, table, buf, count=3)  # 9 records, never shipped
-        lost, clean, _ = rep.kill_primary()
+        lost, clean, _ = rep.kill_primary("home")
         assert lost == 9
         assert not clean
         assert rep.stats["lost_records"] == 9
@@ -311,32 +315,32 @@ class TestKillAdjudication:
         # clean (in-order history, empty backlog) — only the progress
         # comparison against the primary's journal head catches it.
         fault = _DropNth(2)
-        manager, (wmt, table, buf), rep = make_replicator(
+        manager, (wmt, table, buf), rep = make_warm_standby(
             ship_fault=fault, batch_records=4, max_lag_records=100
         )
         for i in range(8):
             manager.structures["hash"].insert(i + 1, LineId(i))
         rep.pump(force=True)  # ships 2 batches; the 2nd vanishes
-        assert rep.standby.clean  # the gap was never observed
-        lost, clean, _ = rep.kill_primary()
+        assert rep.standbys["home"].clean  # the gap was never observed
+        lost, clean, _ = rep.kill_primary("home")
         assert lost == 0  # backlog was empty...
         assert not clean  # ...but the promotion must still be warm
-        assert rep.standby.applied_progress != manager.expected_progress()
+        assert rep.standbys["home"].applied_progress != manager.expected_progress()
 
     def test_reseed_rejoins_as_fresh_standby(self):
-        manager, (wmt, table, buf), rep = make_replicator()
+        manager, (wmt, table, buf), rep = make_warm_standby()
         mutate(wmt, table, buf, count=8)
         rep.pump(force=True)
-        rep.kill_primary()
+        rep.kill_primary("home")
         rep.reseed()
         assert rep.stats["reseeds"] == 1
-        assert rep.standby.clean
-        assert rep.standby.next_seq == 0
+        assert rep.standbys["home"].clean
+        assert rep.standbys["home"].next_seq == 0
         # The new standby mirrors the live image and consumes again.
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].image() == images(manager)
         mutate(wmt, table, buf, count=4, seed=2)
         rep.pump(force=True)
-        assert rep.standby.image() == images(manager)
+        assert rep.standbys["home"].image() == images(manager)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +390,13 @@ class TestFailoverInjector:
 # ---------------------------------------------------------------------------
 
 
-def make_replicated_link(recovery=None, ship_faults=None, **replication):
+def make_replicated_link(recovery=None, ship_fault=None, **replication):
     config = CableConfig().with_overrides(durability=DurabilityPolicy())
     link = build_campaign_link(
         FaultPlan(), recovery or RecoveryPolicy(), config, seed=11
     )
     link.arm_replication(
-        ReplicationPolicy(**replication) if replication else None, ship_faults
+        ReplicationPolicy(**replication) if replication else None, ship_fault
     )
     return link
 
@@ -429,8 +433,7 @@ class TestLinkFailover:
     def test_hot_failover_after_full_pump(self):
         link = make_replicated_link()
         warm(link)
-        for replicator in link.replicators.values():
-            replicator.pump(force=True)
+        link.replica.pump(force=True)
         epoch_before = link.home_state.expected_progress()[0]
         outcome = link.failover()
         assert outcome.hot
@@ -451,7 +454,7 @@ class TestLinkFailover:
         warm(link)
         # The huge lag bound kept everything in the backlog: this kill
         # loses records and the promotion must be adjudicated warm.
-        assert any(r.lag_records for r in link.replicators.values())
+        assert any(s.pending for s in link.replica.shippers.values())
         outcome = link.failover()
         assert not outcome.hot
         assert outcome.lost_records > 0
@@ -468,15 +471,36 @@ class TestLinkFailover:
         link = make_replicated_link()
         warm(link, accesses=120)
         link.failover()
-        for replicator in link.replicators.values():
-            assert replicator.stats["reseeds"] == 1
-            assert replicator.standby.clean
+        # Exactly one reseed per failover, warm or hot.
+        assert link.replica.stats["reseeds"] == 1
+        assert all(s.clean for s in link.replica.standbys.values())
         # Old primary rejoined as standby: a second failover works too.
         warm(link, accesses=80, seed=3)
-        for replicator in link.replicators.values():
-            replicator.pump(force=True)
+        link.replica.pump(force=True)
         assert link.failover().hot
+        assert link.replica.stats["reseeds"] == 2
         assert link.health["failovers"] == 2
+        assert audit(link).ok
+
+    def test_hot_failover_after_repairing_resync_audits_clean(self):
+        # A repairing resync is a journal-bypassing bulk mutation: the
+        # standby must be re-baselined with the managers, or a later,
+        # fully pumped kill is adjudicated hot and restores the
+        # pre-repair image.
+        link = make_replicated_link()
+        warm(link)
+        link.replica.pump(force=True)
+        wmt = link.home_encoder.wmt
+        tracked = next(
+            remote_lid
+            for remote_lid, _line in link.pair.remote
+            if wmt.home_lid_for(remote_lid) is not None
+        )
+        wmt.invalidate_remote(tracked)  # journaled damage
+        assert link.resync().repairs == 1
+        warm(link, 60, seed=5)
+        link.replica.pump(force=True)
+        link.failover()
         assert audit(link).ok
 
     def test_breaker_trip_promotes_standby(self):

@@ -1,9 +1,9 @@
 """Failover mid-adaptation: kills never leave knobs torn.
 
 The serve host applies knob changes only at epoch boundaries through
-``SessionState._apply_knobs`` (which flushes replication journals
-first), so a primary killed *mid-hold* must promote a standby whose
-live configuration is exactly base-plus-current-arm — never a partial
+``CableLinkPair.apply_config`` (which flushes the replica slot's
+journal first), so a primary killed *mid-hold* must promote a standby
+whose live configuration is exactly base-plus-current-arm — never a partial
 mix — and the controller either carries its settled statistics across
 the promotion or abandons only the in-flight epoch. These tests kill
 tuned, replicated sessions at deliberately mid-hold ordinals and check
@@ -195,7 +195,7 @@ class TestControllerRestore:
             tuner_b.restore_state(snapshot)
 
             # Settled statistics carried over; the restored arm was
-            # re-applied through _apply_knobs, so the live config is
+            # re-applied through apply_config, so the live config is
             # base + arm — identical to the primary's — and a fresh
             # epoch baseline was taken (the torn one never crosses).
             assert tuner_b.epochs == tuner_a.epochs

@@ -85,8 +85,17 @@ def smoke_serve() -> int:
     )
 
 
+#: The kill/promotion ledger that must not depend on the transport.
+FAILOVER_LEDGER = (
+    "kills", "hot_promotions", "warm_promotions", "lost_records",
+    "catch_ups", "batches_shipped", "batches_lost", "replica_lag_peak",
+)
+
+
 def smoke_failover() -> int:
-    """Kill-under-load over TCP with a sabotaged replication stream."""
+    """Kill-under-load over TCP with a sabotaged replication stream,
+    plus the same plan over memory pipes: the kill/promotion ledger
+    must be identical on both transports."""
     from repro.fault.campaign import run_failover_campaign
     from repro.replica.plan import FailoverPlan
 
@@ -95,10 +104,12 @@ def smoke_failover() -> int:
         batch_drop_rate=0.05, batch_corrupt_rate=0.05,
     )
     report = run_failover_campaign(plan, clients=8, accesses=60, tcp=True)
+    memory = run_failover_campaign(plan, clients=8, accesses=60, baseline=False)
     print(
         f"kills={report.kills} hot={report.hot_promotions} "
         f"warm={report.warm_promotions} lost={report.lost_records} "
         f"catch_ups={report.catch_ups} "
+        f"batches={report.batches_shipped}/{report.batches_lost} "
         f"lag_peak={report.replica_lag_peak}/{report.lag_bound} "
         f"silent={report.silent_corruptions} "
         f"p99_blip={report.p99_blip:.2f}x"
@@ -110,6 +121,10 @@ def smoke_failover() -> int:
     assert report.silent_corruptions == 0, "silent corruption escaped"
     assert report.audit_failures == 0, "a post-failover audit failed"
     assert report.ok
+    for key in FAILOVER_LEDGER:
+        tcp, mem = getattr(report, key), getattr(memory, key)
+        assert tcp == mem, f"{key}: {tcp} over TCP, {mem} over memory pipes"
+    assert memory.ok
     return 0
 
 
