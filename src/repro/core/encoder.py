@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from time import perf_counter_ns
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.cache.setassoc import LineId, SetAssociativeCache
@@ -79,7 +79,65 @@ class EncodeOutcome:
         return self.payload.size_bits
 
 
-class CableHomeEncoder:
+class _CableEndpoint:
+    """What both endpoints build alike over their own cache — the
+    signature extractor, a hash table sized for that cache, the
+    reference engine and the search pipeline — and the one compress
+    step they share (§III-C/E)."""
+
+    def __init__(self, config: CableConfig, cache: SetAssociativeCache) -> None:
+        self.config = config
+        self.extractor = SignatureExtractor(config)
+        self.hash_table = SignatureHashTable.sized_for(
+            cache.geometry.lines,
+            scale=config.hash_table_scale,
+            bucket_entries=config.hash_bucket_entries,
+        )
+        self.engine = _make_reference_engine(config.engine)
+        self.pipeline = SearchPipeline(
+            config,
+            self.extractor,
+            self.hash_table,
+            cache,
+            self._referencable,
+        )
+        self._obs = METRICS
+        self._stage_diff = METRICS.stage("encode.diff")
+
+    def _compress(self, line_addr: int, data: bytes, exclude) -> EncodeOutcome:
+        """Search for references (skipping the line's own slot
+        *exclude*), compress without and with them, and apply the
+        §III-E selection rule."""
+        search = self.pipeline.search(data, exclude=exclude)
+        enabled = self._obs.enabled
+        if enabled:
+            t1 = perf_counter_ns()
+        no_ref = self.engine.compress_with_references(data, ())
+        with_refs = None
+        if search.references:
+            refs = search.references
+            block = self.engine.compress_with_references(
+                data, [r.data for r in refs]
+            )
+            with_refs = (
+                block,
+                tuple(r.remote_lid for r in refs),
+                tuple(r.line_addr for r in refs),
+            )
+        if enabled:
+            self._stage_diff.observe(perf_counter_ns() - t1)
+        payload = choose_payload(
+            line_addr,
+            data,
+            with_refs,
+            no_ref,
+            self.config.no_reference_threshold,
+            self.config.remotelid_bits,
+        )
+        return EncodeOutcome(payload=payload, search=search)
+
+
+class CableHomeEncoder(_CableEndpoint):
     """Home-side endpoint: search, compress, point, transmit."""
 
     def __init__(
@@ -88,23 +146,9 @@ class CableHomeEncoder:
         home_cache: SetAssociativeCache,
         remote_geometry,
     ) -> None:
-        self.config = config
         self.home_cache = home_cache
-        self.extractor = SignatureExtractor(config)
-        self.hash_table = SignatureHashTable.sized_for(
-            home_cache.geometry.lines,
-            scale=config.hash_table_scale,
-            bucket_entries=config.hash_bucket_entries,
-        )
         self.wmt = WayMapTable(home_cache.geometry, remote_geometry)
-        self.engine = _make_reference_engine(config.engine)
-        self.pipeline = SearchPipeline(
-            config,
-            self.extractor,
-            self.hash_table,
-            home_cache,
-            self._referencable,
-        )
+        super().__init__(config, home_cache)
         self.stats = {
             "encodes": 0,
             "with_references": 0,
@@ -112,9 +156,7 @@ class CableHomeEncoder:
             "uncompressed": 0,
             "reference_count": 0,
         }
-        self._obs = METRICS
         self._stage_encode = METRICS.stage("encode.fill")
-        self._stage_diff = METRICS.stage("encode.diff")
         self._stage_index = METRICS.stage("signature.index")
         self._stage_decode_wb = METRICS.stage("decode.writeback")
         self._ctr_kinds = {
@@ -145,38 +187,15 @@ class CableHomeEncoder:
         enabled = self._obs.enabled
         if enabled:
             t0 = perf_counter_ns()
-        search = self.pipeline.search(data, exclude=home_lid)
-        if enabled:
-            t1 = perf_counter_ns()
-        no_ref = self.engine.compress_with_references(data, ())
-        with_refs = None
-        if search.references:
-            refs = search.references
-            block = self.engine.compress_with_references(
-                data, [r.data for r in refs]
-            )
-            with_refs = (
-                block,
-                tuple(r.remote_lid for r in refs),
-                tuple(r.line_addr for r in refs),
-            )
-        if enabled:
-            self._stage_diff.observe(perf_counter_ns() - t1)
-        payload = choose_payload(
-            line_addr,
-            data,
-            with_refs,
-            no_ref,
-            self.config.no_reference_threshold,
-            self.config.remotelid_bits,
-        )
+        outcome = self._compress(line_addr, data, home_lid)
+        payload = outcome.payload
         self.stats["encodes"] += 1
         self.stats[payload.kind.value] += 1
         self.stats["reference_count"] += len(payload.remote_lids)
         if enabled:
             self._stage_encode.observe(perf_counter_ns() - t0)
             self._ctr_kinds[payload.kind.value].inc()
-        return EncodeOutcome(payload=payload, search=search)
+        return outcome
 
     # ------------------------------------------------------------------
     # Write-back path (remote → home): decode using the WMT
@@ -272,34 +291,18 @@ class CableHomeEncoder:
             self.hash_table.remove(signature, home_lid)
 
 
-class CableRemoteDecoder:
+class CableRemoteDecoder(_CableEndpoint):
     """Remote-side endpoint: decompress fills, compress write-backs."""
 
     def __init__(self, config: CableConfig, remote_cache: SetAssociativeCache) -> None:
-        self.config = config
         self.remote_cache = remote_cache
-        self.extractor = SignatureExtractor(config)
-        self.hash_table = SignatureHashTable.sized_for(
-            remote_cache.geometry.lines,
-            scale=config.hash_table_scale,
-            bucket_entries=config.hash_bucket_entries,
-        )
-        self.engine = _make_reference_engine(config.engine)
+        super().__init__(config, remote_cache)
         self.evict_buffer = EvictionBuffer(
             config.eviction_buffer_entries, config.eviction_buffer_policy
         )
-        self.pipeline = SearchPipeline(
-            config,
-            self.extractor,
-            self.hash_table,
-            remote_cache,
-            self._referencable,
-        )
         self.stats = {"decodes": 0, "rescued_references": 0, "writeback_encodes": 0}
-        self._obs = METRICS
         self._stage_decode = METRICS.stage("decode.fill")
         self._stage_encode_wb = METRICS.stage("encode.writeback")
-        self._stage_diff = METRICS.stage("encode.diff")
         self._ctr_rescued = METRICS.counter("decode.rescued_references")
 
     def _referencable(self, remote_lid: LineId) -> Optional[LineId]:
@@ -353,32 +356,10 @@ class CableRemoteDecoder:
         enabled = self._obs.enabled
         if enabled:
             t0 = perf_counter_ns()
-        search = self.pipeline.search(data, exclude=remote_lid)
-        if enabled:
-            t1 = perf_counter_ns()
-        no_ref = self.engine.compress_with_references(data, ())
-        with_refs = None
-        if search.references:
-            refs = search.references
-            block = self.engine.compress_with_references(data, [r.data for r in refs])
-            with_refs = (
-                block,
-                tuple(r.remote_lid for r in refs),
-                tuple(r.line_addr for r in refs),
-            )
-        if enabled:
-            self._stage_diff.observe(perf_counter_ns() - t1)
-        payload = choose_payload(
-            line_addr,
-            data,
-            with_refs,
-            no_ref,
-            self.config.no_reference_threshold,
-            self.config.remotelid_bits,
-        )
+        outcome = self._compress(line_addr, data, remote_lid)
         if enabled:
             self._stage_encode_wb.observe(perf_counter_ns() - t0)
-        return EncodeOutcome(payload=payload, search=search)
+        return outcome
 
     # ------------------------------------------------------------------
     # Synchronization hooks
@@ -402,12 +383,21 @@ class CableRemoteDecoder:
 
 @dataclass
 class TransferRecord:
-    """Link accounting for one transfer."""
+    """One finished transfer — what :attr:`CableLinkPair.listeners`
+    receive."""
 
     direction: str  # "fill" or "writeback"
     line_addr: int
+    #: The payload form that got through (raw after a fallback).
     payload: Payload
+    #: The line as the sender held it.
+    data: bytes
     search: Optional[SearchResult] = None
+    #: Wire bits beyond the payload: framing plus retransmissions.
+    overhead_bits: int = 0
+    #: ``(seq, bytes, bits)`` of the frame that decoded; None when the
+    #: pair runs unframed.
+    frame: Optional[Tuple[int, bytes, int]] = None
 
     @property
     def size_bits(self) -> int:
@@ -420,7 +410,8 @@ class CableLinkPair:
     Drive it with :meth:`access`; every fill and write-back is
     compressed, transmitted, decompressed and *verified* against the
     original data — a failed verification raises
-    :class:`DecompressionError` and indicates a synchronization bug.
+    :class:`DecompressionError` and indicates a synchronization bug —
+    then handed, as one :class:`TransferRecord`, to :attr:`listeners`.
     """
 
     def __init__(
@@ -451,8 +442,9 @@ class CableLinkPair:
             config, pair.home, pair.remote.geometry
         )
         self.remote_decoder = CableRemoteDecoder(config, pair.remote)
-        self.transfers: List[TransferRecord] = []
-        self.keep_transfers = True
+        #: Called with every :class:`TransferRecord`, after the
+        #: transfer's §III-F sync — the one way to observe transfers.
+        self.listeners: List[Callable[[TransferRecord], None]] = []
         self.totals = {
             "fill_bits": 0,
             "writeback_bits": 0,
@@ -558,77 +550,87 @@ class CableLinkPair:
                 # way-replacement info when the fill is processed.
                 return
             self.home_encoder.on_remote_evict(event)
-        elif event.kind == "fill":
-            self._transfer_fill(event)
-        elif event.kind == "writeback":
-            self._transfer_writeback(event)
+        elif event.kind == "fill" or event.kind == "writeback":
+            self._transfer(event.kind, event)
         elif event.kind == "upgrade":
             self.home_encoder.on_upgrade(event)
             self.remote_decoder.on_upgrade(event)
         elif event.kind == "home_evict":
             self.home_encoder.on_home_evict(event)
 
-    def _transfer_fill(self, event: TransferEvent) -> None:
-        if self.recovery_layer is not None:
-            self._transfer_fill_reliable(event)
-            return
-        if self.enabled:
+    def _transfer(self, direction: str, event: TransferEvent) -> None:
+        """Carry one line across the link (§III-E/F).
+
+        Compress it (raw while the breaker is open), deliver it —
+        through :class:`~repro.link.recovery.ReliableLink`'s framed
+        NACK/retransmit protocol when a recovery layer is armed, by
+        direct decode otherwise — verify, tick the breaker, run the
+        post-transfer synchronization and account one record.
+        """
+        fill = direction == "fill"
+        layer = self.recovery_layer
+        if layer is not None and layer.breaker.is_open:
+            layer.health.bump("breaker_raw_transfers")
+            payload, search = self._raw_payload(event), None
+        else:
+            payload, search = self._encode(direction, event)
+        decode = (
+            self.remote_decoder.decode if fill else self.home_encoder.decode_writeback
+        )
+        overhead_bits, frame = 0, None
+        if layer is not None:
+            delivery = layer.link.deliver(
+                direction, payload, decode, lambda: self._raw_payload(event)
+            )
+            data, payload = delivery.data, delivery.payload
+            overhead_bits, frame = delivery.overhead_bits, delivery.frame
+        elif self.verify and (fill or self.enabled):
+            data = decode(payload)
+        else:
+            data = event.data
+            if fill:
+                self.remote_decoder.stats["decodes"] += 1
+        if self.verify and data != event.data:
+            if layer is not None:
+                layer.health.bump("silent_corruptions")
+            what = "fill for" if fill else "write-back of"
+            raise DecompressionError(
+                f"{what} line {event.line_addr:#x} decompressed incorrectly"
+            )
+        if layer is not None:
+            self._breaker_tick(delivery)
+        if fill:
+            # Post-transfer synchronization (§III-F): both sides index
+            # the line and the home side updates its WMT.
+            self.home_encoder.on_fill_sent(event)
+            self.remote_decoder.on_fill_received(event)
+        self._account(
+            TransferRecord(
+                direction=direction,
+                line_addr=event.line_addr,
+                payload=payload,
+                data=event.data,
+                search=search,
+                overhead_bits=overhead_bits,
+                frame=frame,
+            )
+        )
+        self._step_resync()
+
+    def _encode(self, direction: str, event: TransferEvent):
+        """The outbound payload and its search diagnostics (None when
+        the line goes raw)."""
+        if not self.enabled:
+            return self._raw_payload(event), None
+        if direction == "fill":
             outcome = self.home_encoder.encode(
                 event.line_addr, event.data, event.home_lid
             )
-            payload, search = outcome.payload, outcome.search
         else:
-            payload = Payload(
-                kind=PayloadKind.UNCOMPRESSED,
-                line_addr=event.line_addr,
-                line_bytes=len(event.data),
-                raw=event.data,
-                remotelid_bits=self.config.remotelid_bits,
-            )
-            search = None
-        if self.verify:
-            decoded = self.remote_decoder.decode(payload)
-            if decoded != event.data:
-                raise DecompressionError(
-                    f"fill for line {event.line_addr:#x} decompressed incorrectly"
-                )
-        else:
-            self.remote_decoder.stats["decodes"] += 1
-        # Post-transfer synchronization (§III-F): both sides index the
-        # line and the home side updates its WMT.
-        self.home_encoder.on_fill_sent(event)
-        self.remote_decoder.on_fill_received(event)
-        self._account("fill", event, payload, search)
-
-    def _transfer_writeback(self, event: TransferEvent) -> None:
-        if self.recovery_layer is not None:
-            self._transfer_writeback_reliable(event)
-            return
-        if self.enabled:
             outcome = self.remote_decoder.encode_writeback(
                 event.line_addr, event.data, event.remote_lid
             )
-            payload, search = outcome.payload, outcome.search
-        else:
-            payload = Payload(
-                kind=PayloadKind.UNCOMPRESSED,
-                line_addr=event.line_addr,
-                line_bytes=len(event.data),
-                raw=event.data,
-                remotelid_bits=self.config.remotelid_bits,
-            )
-            search = None
-        if self.verify and self.enabled:
-            decoded = self.home_encoder.decode_writeback(payload)
-            if decoded != event.data:
-                raise DecompressionError(
-                    f"write-back of line {event.line_addr:#x} decompressed incorrectly"
-                )
-        self._account("writeback", event, payload, search)
-
-    # ------------------------------------------------------------------
-    # Lossy-link transfers (repro.link.recovery)
-    # ------------------------------------------------------------------
+        return outcome.payload, outcome.search
 
     def _raw_payload(self, event: TransferEvent) -> Payload:
         return Payload(
@@ -638,64 +640,6 @@ class CableLinkPair:
             raw=event.data,
             remotelid_bits=self.config.remotelid_bits,
         )
-
-    def _transfer_fill_reliable(self, event: TransferEvent) -> None:
-        layer = self.recovery_layer
-        search = None
-        if not self.enabled or layer.breaker.is_open:
-            payload = self._raw_payload(event)
-            if layer.breaker.is_open:
-                layer.health.bump("breaker_raw_transfers")
-        else:
-            outcome = self.home_encoder.encode(
-                event.line_addr, event.data, event.home_lid
-            )
-            payload, search = outcome.payload, outcome.search
-        delivery = layer.link.deliver(
-            "fill",
-            payload,
-            self.remote_decoder.decode,
-            lambda: self._raw_payload(event),
-        )
-        if self.verify and delivery.data != event.data:
-            layer.health.bump("silent_corruptions")
-            raise DecompressionError(
-                f"fill for line {event.line_addr:#x} decompressed incorrectly"
-            )
-        self._breaker_tick(delivery)
-        self.home_encoder.on_fill_sent(event)
-        self.remote_decoder.on_fill_received(event)
-        self._account("fill", event, delivery.payload, search)
-        self.totals["overhead_bits"] += delivery.overhead_bits
-        self._step_resync()
-
-    def _transfer_writeback_reliable(self, event: TransferEvent) -> None:
-        layer = self.recovery_layer
-        search = None
-        if not self.enabled or layer.breaker.is_open:
-            payload = self._raw_payload(event)
-            if layer.breaker.is_open:
-                layer.health.bump("breaker_raw_transfers")
-        else:
-            outcome = self.remote_decoder.encode_writeback(
-                event.line_addr, event.data, event.remote_lid
-            )
-            payload, search = outcome.payload, outcome.search
-        delivery = layer.link.deliver(
-            "writeback",
-            payload,
-            self.home_encoder.decode_writeback,
-            lambda: self._raw_payload(event),
-        )
-        if self.verify and delivery.data != event.data:
-            layer.health.bump("silent_corruptions")
-            raise DecompressionError(
-                f"write-back of line {event.line_addr:#x} decompressed incorrectly"
-            )
-        self._breaker_tick(delivery)
-        self._account("writeback", event, delivery.payload, search)
-        self.totals["overhead_bits"] += delivery.overhead_bits
-        self._step_resync()
 
     def _breaker_tick(self, delivery: Delivery) -> None:
         """Feed one transfer outcome to the circuit breaker."""
@@ -1118,22 +1062,22 @@ class CableLinkPair:
         counts["faults_injected"] = self.recovery_layer.faults_injected
         return counts
 
-    def _account(self, direction, event, payload, search) -> None:
-        record = TransferRecord(
-            direction=direction,
-            line_addr=event.line_addr,
-            payload=payload,
-            search=search,
-        )
-        if self.keep_transfers:
-            self.transfers.append(record)
-        self.totals[f"{direction}s"] += 1
-        self.totals[f"{direction}_bits"] += payload.size_bits
-        self.totals["raw_bits"] += len(event.data) * 8
+    def _account(self, record: TransferRecord) -> None:
+        """Count one finished transfer, then hand it to every listener."""
+        direction = record.direction
+        payload_bits = record.payload.size_bits
+        raw_bits = len(record.data) * 8
+        totals = self.totals
+        totals[f"{direction}s"] += 1
+        totals[f"{direction}_bits"] += payload_bits
+        totals["raw_bits"] += raw_bits
+        totals["overhead_bits"] += record.overhead_bits
         if self._obs.enabled:
             self._ctr_transfers[direction].inc()
-            self._ctr_payload_bits.inc(payload.size_bits)
-            self._ctr_raw_bits.inc(len(event.data) * 8)
+            self._ctr_payload_bits.inc(payload_bits)
+            self._ctr_raw_bits.inc(raw_bits)
+        for listener in self.listeners:
+            listener(record)
 
     # ------------------------------------------------------------------
     # Driving

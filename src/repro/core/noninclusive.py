@@ -25,7 +25,7 @@ from repro.cache.hierarchy import AccessOutcome, InclusivePair, TransferEvent
 from repro.cache.line import CacheLine
 from repro.core.config import CableConfig
 from repro.core.encoder import CableLinkPair
-from repro.core.payload import Payload, PayloadKind, choose_payload
+from repro.core.payload import choose_payload
 
 
 class NonInclusivePair(InclusivePair):
@@ -90,19 +90,13 @@ class NonInclusiveCableLink(CableLinkPair):
         self.writeback_mode = writeback_mode
         super().__init__(config, pair, verify=verify)
 
-    def _transfer_writeback(self, event: TransferEvent) -> None:
+    def _encode(self, direction: str, event: TransferEvent):
         """§IV-C: the remote cannot assume its references exist at the
         home, so write-backs never carry reference pointers."""
-        if not self.enabled or self.writeback_mode == "raw":
-            payload = Payload(
-                kind=PayloadKind.UNCOMPRESSED,
-                line_addr=event.line_addr,
-                line_bytes=len(event.data),
-                raw=event.data,
-                remotelid_bits=self.config.remotelid_bits,
-            )
-            self._account("writeback", event, payload, None)
-            return
+        if direction == "fill" or not self.enabled:
+            return super()._encode(direction, event)
+        if self.writeback_mode == "raw":
+            return self._raw_payload(event), None
         block = self.remote_decoder.engine.compress_with_references(event.data, ())
         payload = choose_payload(
             event.line_addr,
@@ -112,10 +106,4 @@ class NonInclusiveCableLink(CableLinkPair):
             self.config.no_reference_threshold,
             self.config.remotelid_bits,
         )
-        if self.verify and payload.kind is not PayloadKind.UNCOMPRESSED:
-            decoded = self.remote_decoder.engine.decompress_with_references(
-                payload.block, ()
-            )
-            if decoded != event.data:
-                raise RuntimeError("non-dictionary write-back round-trip failed")
-        self._account("writeback", event, payload, None)
+        return payload, None

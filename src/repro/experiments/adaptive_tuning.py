@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.encoder import TransferRecord
 from repro.experiments.base import (
     SWEEP_BENCHMARKS,
     ExperimentResult,
@@ -109,17 +110,18 @@ def verify_arm_payload_equivalence(
         crossed.cable.apply_config(target)
         native.cable.enabled = arm.enabled
         crossed.cable.enabled = arm.enabled
-        for sim in (native, crossed):
-            sim.cable.keep_transfers = True
+        a: List[TransferRecord] = []
+        b: List[TransferRecord] = []
+        for sim, records in ((native, a), (crossed, b)):
+            sim.cable.listeners.append(records.append)
             sim.run()
-        a, b = native.cable, crossed.cable
-        same = a.totals == b.totals and len(a.transfers) == len(b.transfers)
+        same = native.cable.totals == crossed.cable.totals and len(a) == len(b)
         if same:
             same = all(
                 ra.direction == rb.direction
                 and ra.line_addr == rb.line_addr
                 and ra.payload == rb.payload
-                for ra, rb in zip(a.transfers, b.transfers)
+                for ra, rb in zip(a, b)
             )
         verdicts[arm.name] = same
     return verdicts

@@ -466,7 +466,7 @@ def run_failover_campaign(
     import asyncio
 
     from repro.replica.plan import ReplicationPolicy
-    from repro.serve.loadgen import run_loadgen
+    from repro.serve.loadgen import drain_into, run_loadgen
     from repro.serve.server import LinkService
     from repro.serve.session import ServeConfig
 
@@ -481,13 +481,7 @@ def run_failover_campaign(
                 seed=seed, window=window, host=host, port=port,
                 keep_sessions=True,
             )
-            drain = await service.drain()
-            await service.stop()
-            report.drain_report = drain
-            report.silent_corruptions = drain["silent_corruptions"]
-            report.audit_ok = drain["audit_failures"] == 0
-            report.drained_clean = bool(drain["drained_clean"])
-            return report
+            return await drain_into(report, service)
         return await run_loadgen(
             clients=clients, accesses=accesses, benchmark=benchmark,
             seed=seed, window=window, service=service,

@@ -34,7 +34,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import (
     CrcMismatchError,
@@ -280,6 +280,9 @@ class Delivery:
     overhead_bits: int
     #: True when any NACK/drop occurred (feeds the circuit breaker).
     degraded: bool
+    #: ``(seq, bytes, bits)`` of the frame that decoded — the exact
+    #: wire image a transport ships on (the serve layer does).
+    frame: Tuple[int, bytes, int]
 
 
 class ReliableLink:
@@ -490,6 +493,7 @@ class ReliableLink:
                 attempts=attempts,
                 overhead_bits=overhead_bits,
                 degraded=degraded,
+                frame=(seq, frame, frame_bits),
             )
 
     def _fall_back_to_raw(self, make_raw: Callable[[], Payload]) -> None:

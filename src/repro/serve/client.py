@@ -73,12 +73,10 @@ class RemoteClient:
         reader: asyncio.StreamReader,
         writer,
         flush_interval: float = 0.0,
-        crc_bits: int = 16,
     ) -> None:
         self.reader = reader
         self.sender = StreamSender(writer, flush_interval)
         self.decoder = FrameDecoder()
-        self.crc_bits = crc_bits
         cable = CableConfig()
         self.engine_name = cable.engine
         self.fmt = wire_format_for(cable)
@@ -136,7 +134,7 @@ class RemoteClient:
     ) -> OpenResult:
         """OPEN/OPEN_OK exchange; raises :class:`SessionRejected`."""
         self.sender.send(
-            protocol.encode_open(resume_id, client_tag, epoch, records, self.crc_bits)
+            protocol.encode_open(resume_id, client_tag, epoch, records)
         )
         await self.sender.drain()
         while True:
@@ -147,7 +145,7 @@ class RemoteClient:
             if channel != protocol.MSG_OPEN_OK:
                 continue  # e.g. a DRAIN racing the handshake
             session_id, flags, got_epoch, got_records = protocol.decode_open_ok(
-                payload, bits, self.crc_bits
+                payload, bits
             )
             if flags & protocol.FLAG_REJECTED or session_id == 0:
                 raise SessionRejected(
@@ -221,7 +219,6 @@ class RemoteClient:
                     frame_bits,
                     self.engine_name,
                     self.fmt,
-                    crc_bits=self.crc_bits,
                     expected_seq=seq,
                 )
             except WireDecodeError:

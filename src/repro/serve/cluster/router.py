@@ -47,11 +47,8 @@ class FrontRouter:
     directory's job, not the router's.
     """
 
-    def __init__(
-        self, resolve: Callable[[int], Tuple[str, int]], crc_bits: int = 16
-    ) -> None:
+    def __init__(self, resolve: Callable[[int], Tuple[str, int]]) -> None:
         self.resolve = resolve
-        self.crc_bits = crc_bits
         self._server: Optional[asyncio.AbstractServer] = None
         self._splices: set = set()
         self.stats = {
@@ -115,7 +112,7 @@ class FrontRouter:
                     continue  # pre-OPEN noise is the backend's problem
                 try:
                     _resume, tag, _epoch, _records = protocol.decode_open(
-                        payload, bits, self.crc_bits
+                        payload, bits
                     )
                 except WireDecodeError:
                     return None, bytes(buffered)

@@ -92,6 +92,22 @@ class LoadgenReport:
         }
 
 
+async def drain_into(report: LoadgenReport, service: LinkService) -> LoadgenReport:
+    """Drain and stop a self-hosted *service* and fold its side of the
+    run into *report*: session peak, refused opens, retransmits,
+    escapes, the audit verdict and the drain report itself."""
+    drain = await service.drain()
+    await service.stop()
+    report.drain_report = drain
+    report.sessions_peak = service.manager.stats["peak_sessions"]
+    report.rejected_opens = service.manager.stats["rejected_opens"]
+    report.retransmits = drain["retransmits"]
+    report.silent_corruptions = drain["silent_corruptions"]
+    report.audit_ok = drain["audit_failures"] == 0
+    report.drained_clean = bool(drain["drained_clean"])
+    return report
+
+
 async def _drive_client(
     service: Optional[LinkService],
     host: str,
@@ -191,17 +207,11 @@ async def run_loadgen(
     report.p50_ms = _percentile(latencies, 0.50)
     report.p99_ms = _percentile(latencies, 0.99)
 
-    if service is not None:
+    if service is not None and drain_service:
+        await drain_into(report, service)
+    elif service is not None:
         report.sessions_peak = service.manager.stats["peak_sessions"]
         report.rejected_opens = service.manager.stats["rejected_opens"]
-        if drain_service:
-            drain = await service.drain()
-            await service.stop()
-            report.drain_report = drain
-            report.retransmits = drain["retransmits"]
-            report.silent_corruptions = drain["silent_corruptions"]
-            report.audit_ok = drain["audit_failures"] == 0
-            report.drained_clean = bool(drain["drained_clean"])
     return report
 
 
@@ -252,14 +262,7 @@ async def _loadgen_main(args: argparse.Namespace) -> int:
         keep_sessions=service is not None,
     )
     if service is not None and not use_memory:
-        drain = await service.drain()
-        await service.stop()
-        report.drain_report = drain
-        report.sessions_peak = service.manager.stats["peak_sessions"]
-        report.retransmits = drain["retransmits"]
-        report.silent_corruptions = drain["silent_corruptions"]
-        report.audit_ok = drain["audit_failures"] == 0
-        report.drained_clean = bool(drain["drained_clean"])
+        await drain_into(report, service)
     for key, value in report.as_dict().items():
         if isinstance(value, float):
             value = f"{value:.3f}"

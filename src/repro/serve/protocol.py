@@ -85,48 +85,37 @@ def _require(payload: bytes, size: int, what: str) -> None:
 
 
 def encode_open(
-    resume_session_id: int, client_tag: int, epoch: int, records: int,
-    crc_bits: int = 16,
+    resume_session_id: int, client_tag: int, epoch: int, records: int
 ) -> bytes:
-    hello = encode_epoch_frame(
-        EPOCH_KIND_HELLO, epoch, records, complete=True, crc_bits=crc_bits
-    )
+    hello = encode_epoch_frame(EPOCH_KIND_HELLO, epoch, records, complete=True)
     payload = _OPEN_HDR.pack(resume_session_id, client_tag) + hello.getvalue()
     return encode_stream_record(MSG_OPEN, payload, 64 + hello.bit_count)
 
 
-def decode_open(
-    payload: bytes, bit_count: int, crc_bits: int = 16
-) -> Tuple[int, int, int, int]:
+def decode_open(payload: bytes, bit_count: int) -> Tuple[int, int, int, int]:
     """→ ``(resume_session_id, client_tag, epoch, records)``."""
     _require(payload, _OPEN_HDR.size, "OPEN")
     resume_id, client_tag = _OPEN_HDR.unpack_from(payload)
     kind, epoch, records, _complete = decode_epoch_frame(
-        payload[_OPEN_HDR.size:], bit_count - 64, crc_bits=crc_bits
+        payload[_OPEN_HDR.size:], bit_count - 64
     )
     if kind != EPOCH_KIND_HELLO:
         raise CorruptPayloadError(f"OPEN carried epoch-frame kind {kind}")
     return resume_id, client_tag, epoch, records
 
 
-def encode_open_ok(
-    session_id: int, flags: int, epoch: int, records: int, crc_bits: int = 16
-) -> bytes:
-    reply = encode_epoch_frame(
-        EPOCH_KIND_EPOCH, epoch, records, complete=True, crc_bits=crc_bits
-    )
+def encode_open_ok(session_id: int, flags: int, epoch: int, records: int) -> bytes:
+    reply = encode_epoch_frame(EPOCH_KIND_EPOCH, epoch, records, complete=True)
     payload = _OPEN_OK_HDR.pack(session_id, flags) + reply.getvalue()
     return encode_stream_record(MSG_OPEN_OK, payload, 40 + reply.bit_count)
 
 
-def decode_open_ok(
-    payload: bytes, bit_count: int, crc_bits: int = 16
-) -> Tuple[int, int, int, int]:
+def decode_open_ok(payload: bytes, bit_count: int) -> Tuple[int, int, int, int]:
     """→ ``(session_id, flags, epoch, records)``."""
     _require(payload, _OPEN_OK_HDR.size, "OPEN_OK")
     session_id, flags = _OPEN_OK_HDR.unpack_from(payload)
     kind, epoch, records, _complete = decode_epoch_frame(
-        payload[_OPEN_OK_HDR.size:], bit_count - 40, crc_bits=crc_bits
+        payload[_OPEN_OK_HDR.size:], bit_count - 40
     )
     if kind != EPOCH_KIND_EPOCH:
         raise CorruptPayloadError(f"OPEN_OK carried epoch-frame kind {kind}")

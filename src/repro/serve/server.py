@@ -114,9 +114,7 @@ class LinkService:
         """Handle one record; returns (session, goodbye, keep_session)."""
         cfg = self.config
         if channel == protocol.MSG_OPEN:
-            resume_id, tag, epoch, records = protocol.decode_open(
-                payload, bits, cfg.crc_bits
-            )
+            resume_id, tag, epoch, records = protocol.decode_open(payload, bits)
             try:
                 granted, flags = self.manager.open(resume_id, tag, epoch, records)
             except SessionAdmissionError:
@@ -124,16 +122,14 @@ class LinkService:
                 # process, a REJECTED flag on the wire.
                 granted, flags = None, protocol.FLAG_REJECTED
             if granted is None:
-                sender.send(
-                    protocol.encode_open_ok(0, flags, 0, 0, cfg.crc_bits)
-                )
+                sender.send(protocol.encode_open_ok(0, flags, 0, 0))
                 return session, False, keep_session
             granted.attach(sender)
             self.manager.publish_active()
             g_epoch, g_records = granted.progress()
             sender.send(
                 protocol.encode_open_ok(
-                    granted.session_id, flags, g_epoch, g_records, cfg.crc_bits
+                    granted.session_id, flags, g_epoch, g_records
                 )
             )
             return granted, False, True

@@ -9,10 +9,12 @@ checker armed (``verify=True``), durable epoch state
 ``config.durability``), warm-standby replication and the failover
 path — lives in :class:`repro.serve.state.SessionState`, which each
 session composes. The socket carries the *actual encoded frames*:
-every transfer the pair produces is re-encoded with
-:func:`repro.link.wire.encode_frame` and shipped to the client, which
-performs the structural decode (CRC, bit-exact token parse, sequence
-cross-check) on its side of the wire.
+every transfer's frame is encoded once, by the pair's
+:class:`~repro.link.recovery.ReliableLink`, and the session ships the
+frame that decoded (the :attr:`~repro.core.encoder.TransferRecord.frame`
+its listener captured) to the client, which performs the structural
+decode (CRC, bit-exact token parse, sequence cross-check) on its side
+of the wire.
 
 Admission control is explicit and bounded: accesses land in a
 per-session :class:`asyncio.Queue` of fixed depth; overflow is
@@ -43,7 +45,6 @@ from repro.core.errors import (
 )
 from repro.fault.injectors import ChannelFaultInjector, WireFaultInjector
 from repro.fault.plan import FaultPlan
-from repro.link.wire import encode_frame
 from repro.obs.registry import METRICS
 from repro.replica.plan import FailoverPlan, ReplicationPolicy
 from repro.serve import protocol
@@ -105,8 +106,6 @@ class ServeConfig:
     #: (the in-process delivery stays clean; the client's structural
     #: decode catches the damage and NACKs). Reseeded per session.
     faults: Optional[FaultPlan] = None
-    #: CRC width of shipped frames and handshake frames.
-    crc_bits: int = 16
     #: Per-session durability (epoch/journal state for resume).
     durability: DurabilityPolicy = field(default_factory=DurabilityPolicy)
     #: Warm-standby replication per session; None serves unreplicated.
@@ -153,7 +152,6 @@ class Session:
         #: (access index, frame pos) → (direction, seq, bytes, bits).
         self.window: Dict[Tuple[int, int], Tuple[int, int, bytes, int]] = {}
         self._window_order: List[Tuple[int, int]] = []
-        self.seq = 0
         self.wire_faults: Optional[WireFaultInjector] = None
         self.channel_faults: Optional[ChannelFaultInjector] = None
         if config.faults is not None:
@@ -176,14 +174,6 @@ class Session:
     @property
     def pair(self):
         return self.state.pair
-
-    @property
-    def fmt(self):
-        return self.state.fmt
-
-    @property
-    def engine_name(self) -> str:
-        return self.state.engine_name
 
     # ------------------------------------------------------------------
     # Attachment & epochs
@@ -318,10 +308,9 @@ class Session:
         self.stats["accesses"] += 1
         if METRICS.enabled:
             _CTR_ACCESSES.inc()
-        sent = 0
-        for pos, (direction, payload) in enumerate(capture):
-            self._ship_frame(index, pos, direction, payload)
-            sent += 1
+        for pos, record in enumerate(capture):
+            self._ship_frame(index, pos, record)
+        sent = len(capture)
         capture.clear()
         replica = self.state.pair.replica
         if replica is not None:
@@ -347,18 +336,9 @@ class Session:
                 protocol.encode_result(index, sent, status, epoch, records)
             )
 
-    def _ship_frame(self, index: int, pos: int, direction: str, payload) -> None:
-        seq = self.seq
-        self.seq = (self.seq + 1) & 0x0F  # FRAME_SEQ_BITS-wide window
-        writer = encode_frame(
-            payload,
-            self.fmt,
-            self.engine_name,
-            seq=seq,
-            crc_bits=self.config.crc_bits,
-        )
-        frame_bytes = writer.getvalue()
-        frame_bits = writer.bit_count
+    def _ship_frame(self, index: int, pos: int, record) -> None:
+        direction = record.direction
+        seq, frame_bytes, frame_bits = record.frame
         dir_code = protocol.DIR_NAMES[direction]
         self._window_insert((index, pos), (dir_code, seq, frame_bytes, frame_bits))
         self.stats["frames"] += 1
@@ -366,17 +346,19 @@ class Session:
             _CTR_FRAMES.inc()
         if self.sender is None:
             return  # client detached mid-access; window keeps the frame
-        if self.channel_faults is not None and self.channel_faults.decide() == "drop":
+        shipped, shipped_bits = frame_bytes, frame_bits
+        dropped = (
+            self.channel_faults is not None
+            and self.channel_faults.decide() == "drop"
+        )
+        if not dropped and self.wire_faults is not None:
+            shipped, shipped_bits = self.wire_faults.corrupt(shipped, shipped_bits)
+        if dropped or shipped_bits <= 0:
+            # A frame truncated to nothing is indistinguishable from a
+            # drop; the client NACKs the hole after RESULT arrives.
             self.stats["dropped_frames"] += 1
             if METRICS.enabled:
                 _CTR_DROPPED.inc()
-            return  # the client NACKs the hole after RESULT arrives
-        shipped, shipped_bits = frame_bytes, frame_bits
-        if self.wire_faults is not None:
-            shipped, shipped_bits = self.wire_faults.corrupt(shipped, shipped_bits)
-        if shipped_bits <= 0:
-            # Truncated to nothing — indistinguishable from a drop.
-            self.stats["dropped_frames"] += 1
             return
         self.sender.send(
             protocol.encode_frame_record(

@@ -2,9 +2,10 @@
 
 A :class:`SessionState` owns everything about one client's *link
 state*: the verified :class:`~repro.core.encoder.CableLinkPair`, its
-backing store, the durable epoch managers, the transfer-capture hook,
-warm-standby replication and the failover path. It knows nothing
-about sockets, queues, senders or retransmit windows — those live in
+backing store, the durable epoch managers, the listener that captures
+each access's transfer records, warm-standby replication and the
+failover path. It knows nothing about sockets, queues, senders or
+retransmit windows — those live in
 :class:`repro.serve.session.Session`, which composes one of these.
 
 The split is load-bearing twice over: failover promotes *state* while
@@ -24,10 +25,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair
+from repro.core.encoder import CableLinkPair, TransferRecord
 from repro.fault.injectors import FailoverInjector
 from repro.fault.plan import RecoveryPolicy
-from repro.link.wire import wire_format_for
 from repro.obs.registry import METRICS
 from repro.replica.shipper import SHIPPER_STATS
 from repro.replica.standby import WarmStandby
@@ -95,19 +95,10 @@ class SessionState:
             cable,
             InclusivePair(home, remote, backing_read, backing_write),
         )
-        # Bounded memory: capture each access's transfers via the
-        # accounting hook instead of the unbounded transfers list.
-        self.pair.keep_transfers = False
-        self.capture: List[Tuple[str, object]] = []
-        original_account = self.pair._account
-
-        def account_hook(direction, event, payload, search):
-            original_account(direction, event, payload, search)
-            self.capture.append((direction, payload))
-
-        self.pair._account = account_hook
-        self.fmt = wire_format_for(cable, self.pair.home_encoder.engine)
-        self.engine_name = cable.engine
+        #: This access's transfer records, in order; the session ships
+        #: each record's frame and clears the list.
+        self.capture: List[TransferRecord] = []
+        self.pair.listeners.append(self.capture.append)
         # Warm-standby replication + deterministic kill schedule.
         self.failover_faults: Optional[FailoverInjector] = None
         failover_plan = getattr(config, "failover", None)

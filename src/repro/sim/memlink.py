@@ -29,7 +29,7 @@ from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.compression.registry import make_engine
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair, DecompressionError
+from repro.core.encoder import CableLinkPair, DecompressionError, TransferRecord
 from repro.fault.plan import FaultPlan, RecoveryPolicy
 from repro.state.plan import DurabilityPolicy
 from repro.link.channel import LinkModel
@@ -285,8 +285,7 @@ class MemLinkSimulation:
             if overrides:
                 cable_cfg = cable_cfg.with_overrides(**overrides)
             self.cable = CableLinkPair(cable_cfg, self.pair, verify=config.verify)
-            self.cable.keep_transfers = False
-            self.pair.add_observer(self._observe_cable)
+            self.cable.listeners.append(self._observe_cable)
         elif scheme == "raw":
             self.pair.add_observer(self._observe_raw)
         elif scheme in STREAM_SCHEMES:
@@ -364,26 +363,17 @@ class MemLinkSimulation:
             )
             self._toggle_comp.record_payload(payload)
 
-    def _observe_cable(self, event: TransferEvent) -> None:
-        if event.kind not in ("fill", "writeback"):
-            return
-        # CableLinkPair (registered first) has already produced the
-        # payload; pull it from its accounting. Recovery overhead is
-        # read as a delta of the cable's running total so retransmitted
-        # frames land on the transfer that caused them.
-        overhead_total = self.cable.totals["overhead_bits"]
-        overhead = overhead_total - self._last_overhead_total
-        self._last_overhead_total = overhead_total
-        payload_bits = self._last_cable_bits
-        self._record(payload_bits, event.data, self._last_cable_payload, overhead)
+    def _observe_cable(self, record: TransferRecord) -> None:
+        """The cable's transfer listener. Each record carries the
+        framing and retransmission bits of its own transfer, so
+        recovery overhead lands on the transfer that caused it."""
+        self._record(
+            record.payload.size_bits, record.data, record.payload, record.overhead_bits
+        )
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-
-    _last_cable_bits: int = 0
-    _last_cable_payload = None
-    _last_overhead_total: int = 0
 
     def run(self) -> MemLinkResult:
         with trace("sim.run"):
@@ -392,16 +382,6 @@ class MemLinkSimulation:
     def _run(self) -> MemLinkResult:
         config = self.config
         warmup = int(config.accesses * config.warmup_fraction)
-        if self.cable is not None:
-            # Intercept cable accounting to know each payload's size.
-            original_account = self.cable._account
-
-            def hooked(direction, event, payload, search):
-                self._last_cable_bits = payload.size_bits
-                self._last_cable_payload = payload
-                original_account(direction, event, payload, search)
-
-            self.cable._account = hooked
         crash_at: Dict[int, List[str]] = {}
         for index, side in config.crash_points:
             crash_at.setdefault(index, []).append(side)

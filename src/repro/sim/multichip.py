@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair
+from repro.core.encoder import CableLinkPair, TransferRecord
 from repro.link.channel import LinkModel
 from repro.sim.memlink import MemLinkResult, scale_profile
 from repro.trace.profiles import BenchmarkProfile, get_profile
@@ -108,7 +108,6 @@ class MultiChipSimulation:
             self.pairs.append(pair)
             if config.scheme == "cable":
                 link = CableLinkPair(config.cable, pair, verify=config.verify)
-                link.keep_transfers = False
                 self.links.append(link)
             else:
                 self.links.append(None)
@@ -139,14 +138,8 @@ class MultiChipSimulation:
             result.raw_flits += config.link.flits_for(len(data) * 8)
             result.per_transfer_bits.append(payload_bits)
 
-        def hook_cable(link: CableLinkPair) -> None:
-            original = link._account
-
-            def hooked(direction, event, payload, search):
-                original(direction, event, payload, search)
-                record(direction, event.data, payload.size_bits)
-
-            link._account = hooked
+        def listen(transfer: TransferRecord) -> None:
+            record(transfer.direction, transfer.data, transfer.payload.size_bits)
 
         def hook_stream(pair: InclusivePair) -> None:
             from repro.sim.memlink import _StreamCodec
@@ -179,7 +172,7 @@ class MultiChipSimulation:
 
         for pair, link in zip(self.pairs, self.links):
             if link is not None:
-                hook_cable(link)
+                link.listeners.append(listen)
             else:
                 hook_stream(pair)
 

@@ -116,14 +116,7 @@ def run_multiprogram(
 
     if scheme == "cable":
         cable_link = CableLinkPair(cable or CableConfig(), pair, verify=verify)
-        cable_link.keep_transfers = False
-        original = cable_link._account
-
-        def hooked(direction, event, payload, search):
-            original(direction, event, payload, search)
-            record(event.data, payload.size_bits)
-
-        cable_link._account = hooked
+        cable_link.listeners.append(lambda t: record(t.data, t.payload.size_bits))
     elif scheme == "raw":
         def observe(event: TransferEvent) -> None:
             if event.kind in ("fill", "writeback"):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair
+from repro.core.encoder import CableLinkPair, TransferRecord
 from repro.obs.registry import METRICS
 from repro.sim.memlink import STREAM_SCHEMES, _StreamCodec
 
@@ -120,11 +120,12 @@ class TierResult:
 class LinkLeg:
     """One compression scheme attached to an InclusivePair link.
 
-    Registers an observer *after* the scheme's own machinery (for
-    ``cable``, the :class:`CableLinkPair` constructed here) so payload
-    sizes are read off the encoder's accounting exactly as
-    :class:`repro.sim.memlink.MemLinkSimulation` does. The host drains
-    :attr:`pending` after each ``pair.access`` call.
+    For ``cable`` it listens on the :class:`CableLinkPair` constructed
+    here, taking each transfer's payload and overhead bits off its
+    :class:`~repro.core.encoder.TransferRecord` exactly as
+    :class:`repro.sim.memlink.MemLinkSimulation` does; the other
+    schemes observe the pair's fill and write-back events. The host
+    drains :attr:`pending` after each ``pair.access`` call.
     """
 
     def __init__(
@@ -144,41 +145,37 @@ class LinkLeg:
         self.cable: Optional[CableLinkPair] = None
         self._fill_codec: Optional[_StreamCodec] = None
         self._wb_codec: Optional[_StreamCodec] = None
-        self._last_cable_bits = 0
-        self._last_overhead_total = 0
         if scheme == "cable":
             self.cable = CableLinkPair(
                 cable_config or CableConfig(), pair, verify=verify
             )
-            self.cable.keep_transfers = False
-            original_account = self.cable._account
+            self.cable.listeners.append(self._listen)
+        else:
+            if scheme in STREAM_SCHEMES:
+                self._fill_codec = _StreamCodec(scheme, verify)
+                self._wb_codec = _StreamCodec(scheme, verify)
+            pair.add_observer(self._observe)
 
-            def hooked(direction, event, payload, search):
-                self._last_cable_bits = payload.size_bits
-                original_account(direction, event, payload, search)
-
-            self.cable._account = hooked
-        elif scheme in STREAM_SCHEMES:
-            self._fill_codec = _StreamCodec(scheme, verify)
-            self._wb_codec = _StreamCodec(scheme, verify)
-        pair.add_observer(self._observe)
+    def _listen(self, record: TransferRecord) -> None:
+        self.pending.append(
+            LinkTransfer(
+                record.direction,
+                len(record.data) * 8,
+                record.payload.size_bits,
+                record.overhead_bits,
+            )
+        )
 
     def _observe(self, event: TransferEvent) -> None:
         if event.kind not in ("fill", "writeback"):
             return
         raw_bits = len(event.data) * 8
-        overhead = 0
-        if self.cable is not None:
-            total = self.cable.totals["overhead_bits"]
-            overhead = total - self._last_overhead_total
-            self._last_overhead_total = total
-            payload_bits = self._last_cable_bits
-        elif self._fill_codec is not None:
+        if self._fill_codec is not None:
             codec = self._fill_codec if event.kind == "fill" else self._wb_codec
             payload_bits = codec.transfer(event.data)
         else:  # raw: no flag bit, lines cross exactly as-is
             payload_bits = raw_bits
-        self.pending.append(LinkTransfer(event.kind, raw_bits, payload_bits, overhead))
+        self.pending.append(LinkTransfer(event.kind, raw_bits, payload_bits, 0))
 
     def drain(self) -> List[LinkTransfer]:
         """Transfers produced since the last drain (ownership passes)."""

@@ -114,7 +114,7 @@ class CxlTierSimulation:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _account(self, transfer, now_ns: float) -> None:
+    def _tally(self, transfer, now_ns: float) -> None:
         config = self.config
         if transfer.kind == "fill":
             latency = self._fill(now_ns, transfer.payload_bits, transfer.overhead_bits)
@@ -171,7 +171,7 @@ class CxlTierSimulation:
                 write_data=access.write_data,
             )
             for transfer in self.leg.drain():
-                self._account(transfer, now_ns)
+                self._tally(transfer, now_ns)
             if tuner is not None:
                 tuner.on_access()
         if tuner is not None:
@@ -179,7 +179,7 @@ class CxlTierSimulation:
             self.result.tuning = tuner.rollup()
         self.leg.finish()
         for transfer in self.leg.drain():  # resync backlog, if any
-            self._account(transfer, self._read_free)
+            self._tally(transfer, self._read_free)
         result = self.result
         if not self._counting:
             self._counting = True  # tiny runs: count everything

@@ -102,7 +102,7 @@ class DramCacheTierSimulation:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _account(self, transfer) -> None:
+    def _tally(self, transfer) -> None:
         if not self._counting:
             return
         link = self.config.link
@@ -154,7 +154,7 @@ class DramCacheTierSimulation:
             else:
                 self._bypass(access)
             for transfer in self.leg.drain():
-                self._account(transfer)
+                self._tally(transfer)
             if tuner is not None:
                 tuner.on_access()
         if tuner is not None:
@@ -162,7 +162,7 @@ class DramCacheTierSimulation:
             self.result.tuning = tuner.rollup()
         self.leg.finish()
         for transfer in self.leg.drain():
-            self._account(transfer)
+            self._tally(transfer)
         return self._finish(hits0, misses0, wb0)
 
     def _note_admission(self) -> None:

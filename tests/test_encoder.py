@@ -16,6 +16,8 @@ from repro.core.encoder import (
 )
 from repro.core.payload import PayloadKind
 from repro.core.sync import audit
+from repro.fault.plan import RecoveryPolicy
+from repro.link.wire import decode_frame, wire_format_for
 
 
 def family_backing(seed=0, families=8, mutations=1):
@@ -40,6 +42,13 @@ def family_backing(seed=0, families=8, mutations=1):
         store[addr] = data
 
     return read, write, store
+
+
+def recorded(link):
+    """Every transfer record *link* produces from now on."""
+    records = []
+    link.listeners.append(records.append)
+    return records
 
 
 def build_link(config=None, home_kb=16, remote_kb=4, **backing_kwargs):
@@ -91,11 +100,10 @@ class TestBasicOperation:
         remote = SetAssociativeCache(CacheGeometry(4 * 1024, 4))
         pair = InclusivePair(home, remote, read, write)
         link = CableLinkPair(CableConfig(), pair, enabled=False)
+        transfers = recorded(link)
         for addr in range(50):
             link.access(addr)
-        assert all(
-            t.payload.kind is PayloadKind.UNCOMPRESSED for t in link.transfers
-        )
+        assert all(t.payload.kind is PayloadKind.UNCOMPRESSED for t in transfers)
         assert link.compression_ratio < 1.01
 
 
@@ -155,9 +163,10 @@ class TestPayloadMix:
         remote = SetAssociativeCache(CacheGeometry(4 * 1024, 4))
         pair = InclusivePair(home, remote, read, lambda a, d: None)
         link = CableLinkPair(CableConfig(), pair)
+        transfers = recorded(link)
         for addr in range(100):
             link.access(addr)
-        kinds = {t.payload.kind for t in link.transfers}
+        kinds = {t.payload.kind for t in transfers}
         assert kinds == {PayloadKind.NO_REFERENCE}
         assert link.compression_ratio > 30
 
@@ -174,27 +183,51 @@ class TestPayloadMix:
         remote = SetAssociativeCache(CacheGeometry(4 * 1024, 4))
         pair = InclusivePair(home, remote, read, lambda a, d: None)
         link = CableLinkPair(CableConfig(), pair)
+        transfers = recorded(link)
         for addr in range(100):
             link.access(addr)
         uncompressed = sum(
-            1 for t in link.transfers if t.payload.kind is PayloadKind.UNCOMPRESSED
+            1 for t in transfers if t.payload.kind is PayloadKind.UNCOMPRESSED
         )
         assert uncompressed > 50
 
 
 class TestStatsBookkeeping:
     def test_totals_consistent(self):
-        link = build_link()
-        rng = random.Random(9)
-        for _ in range(1500):
-            link.access(rng.randrange(300), is_write=rng.random() < 0.2)
-        assert link.totals["fills"] + link.totals["writebacks"] == len(link.transfers)
-        assert link.totals["raw_bits"] == 512 * len(link.transfers)
-        assert link.compressed_bits == sum(t.size_bits for t in link.transfers)
-
-    def test_keep_transfers_flag(self):
-        link = build_link()
-        link.keep_transfers = False
-        link.access(1)
-        assert link.transfers == []
-        assert link.totals["fills"] == 1
+        """One record per transfer, in both link modes, and the records
+        add up to the totals; only the framed pair's records carry the
+        frame that decoded."""
+        for config in (CableConfig(), CableConfig(recovery=RecoveryPolicy())):
+            link = build_link(config)
+            framed = link.recovery_layer is not None
+            transfers = recorded(link)
+            rng = random.Random(9)
+            for _ in range(1500):
+                link.access(rng.randrange(300), is_write=rng.random() < 0.2)
+            totals = link.totals
+            assert totals["fills"] + totals["writebacks"] == len(transfers)
+            assert totals["fills"] == sum(t.direction == "fill" for t in transfers)
+            assert totals["raw_bits"] == 512 * len(transfers)
+            assert link.compressed_bits == sum(t.size_bits for t in transfers)
+            assert totals["overhead_bits"] == sum(t.overhead_bits for t in transfers)
+            if not framed:
+                assert totals["overhead_bits"] == 0
+                assert all(t.frame is None for t in transfers)
+                continue
+            assert link.health["transfers"] == len(transfers)
+            assert totals["overhead_bits"] > 0
+            policy = link.recovery_layer.policy
+            fmt = wire_format_for(link.config, link.home_encoder.engine)
+            for t in transfers:
+                seq, frame, bits = t.frame
+                got_seq, decoded = decode_frame(
+                    frame,
+                    bits,
+                    link.config.engine,
+                    fmt,
+                    crc_bits=policy.crc_bits,
+                    seq_bits=policy.seq_bits,
+                    expected_seq=seq,
+                )
+                assert got_seq == seq
+                assert decoded.kind is t.payload.kind

@@ -390,6 +390,8 @@ class TestErrorHierarchy:
         remote = SetAssociativeCache(CacheGeometry(4 * 1024, 4))
         pair = InclusivePair(home, remote, read, lambda a, d: None)
         link = CableLinkPair(CableConfig(), pair)
+        transfers = []
+        link.listeners.append(transfers.append)
         for i in range(400):
             link.access(rng.randrange(120))
         # Find a transfer that used references, then evict its
@@ -397,7 +399,7 @@ class TestErrorHierarchy:
         # buffer — decoding must now fail loudly and typed.
         payload = next(
             t.payload
-            for t in reversed(link.transfers)
+            for t in reversed(transfers)
             if t.payload.kind is PayloadKind.WITH_REFERENCES
         )
         for lid in payload.remote_lids:

@@ -54,7 +54,6 @@ class CableLinkMachine(RuleBasedStateMachine):
         self.link = CableLinkPair(
             CableConfig(), pair, silent_evictions=silent
         )
-        self.link.keep_transfers = False
         self.store_read = read
         self.counter = 0
 

@@ -122,17 +122,19 @@ class TestWritebackModes:
 
     def test_raw_writebacks(self):
         link = build(writeback_mode="raw")
-        link.keep_transfers = True
+        transfers = []
+        link.listeners.append(transfers.append)
         self._run(link)
-        wbs = [t for t in link.transfers if t.direction == "writeback"]
+        wbs = [t for t in transfers if t.direction == "writeback"]
         assert wbs
         assert all(t.payload.kind is PayloadKind.UNCOMPRESSED for t in wbs)
 
     def test_nodict_writebacks_never_reference(self):
         link = build(writeback_mode="nodict")
-        link.keep_transfers = True
+        transfers = []
+        link.listeners.append(transfers.append)
         self._run(link)
-        wbs = [t for t in link.transfers if t.direction == "writeback"]
+        wbs = [t for t in transfers if t.direction == "writeback"]
         assert wbs
         assert all(
             t.payload.kind is not PayloadKind.WITH_REFERENCES for t in wbs

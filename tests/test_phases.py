@@ -58,7 +58,8 @@ class TestPhaseCompressionVariance:
             warmup_fraction=0.0,
         )
         sim = MemLinkSimulation("dealII", config)
-        sim.cable.keep_transfers = True
+        transfers = []
+        sim.cable.listeners.append(transfers.append)
         # Drive the simulation manually with a phased stream.
         for access in sim.workload.accesses(config.accesses, phases=4):
             sim.pair.access(
@@ -66,7 +67,7 @@ class TestPhaseCompressionVariance:
                 is_write=access.is_write,
                 write_data=access.write_data,
             )
-        bits = [t.payload.size_bits for t in sim.cable.transfers]
+        bits = [t.payload.size_bits for t in transfers]
         assert len(bits) > 400
         quarter = len(bits) // 4
         phase_means = [

@@ -241,6 +241,84 @@ class TestObservability:
         assert metrics.histogram("serve.rtt_us").count == 32
         assert metrics.counter("serve.drains").value == 1
 
+    def test_dropped_frames_counter_matches_sessions(self, metrics):
+        # Every shipped frame is truncated; the ones cut to zero bits
+        # never reach the wire and must count as drops in the registry
+        # exactly as in the sessions' own stats.
+        from repro.fault.plan import FaultPlan
+
+        async def scenario():
+            config = ServeConfig(faults=FaultPlan(seed=3, truncate_rate=1.0))
+            service = LinkService(config)
+            report = await run_loadgen(clients=2, accesses=200, service=service)
+            assert report.ok
+            return sum(
+                session.stats["dropped_frames"]
+                for session in service.manager.sessions.values()
+            )
+
+        dropped = asyncio.run(scenario())
+        assert dropped > 0
+        assert metrics.counter("serve.frames_dropped").value == dropped
+
+
+class TestFraming:
+    def test_each_transfer_is_framed_once(self, monkeypatch):
+        # The session ships the frame ReliableLink encoded and decoded
+        # for the transfer; nothing on the served path encodes another.
+        import sys
+
+        from repro.fault.plan import FaultPlan
+        from repro.link import wire
+        from repro.serve import protocol
+
+        original = wire.encode_frame
+        calls = []
+
+        def counting_encode_frame(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if module is None or not name.startswith("repro"):
+                continue
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting_encode_frame)
+
+        records = {}
+
+        def listen(session):
+            records[session.client_tag] = shipped = []
+            session.pair.listeners.append(shipped.append)
+
+        async def scenario():
+            # A window wide enough to keep every frame of the run.
+            config = ServeConfig(
+                faults=FaultPlan.uniform(0.02, seed=5), retransmit_window=1024
+            )
+            service = LinkService(config)
+            service.manager.on_open = listen
+            report = await run_loadgen(
+                clients=2, accesses=300, benchmark="lbm", service=service
+            )
+            assert report.ok
+            return list(service.manager.sessions.values())
+
+        sessions = asyncio.run(scenario())
+        assert len(sessions) == 2
+        framed = sum(
+            s.pair.health["transfers"] + s.pair.health["retries"] for s in sessions
+        )
+        assert len(calls) == framed
+        for session in sessions:
+            shipped = records[session.client_tag]
+            assert len(shipped) == session.stats["frames"]
+            # The window holds every frame, in shipping order.
+            assert list(session.window.values()) == [
+                (protocol.DIR_NAMES[t.direction],) + t.frame for t in shipped
+            ]
+
 
 class TestWarmLookahead:
     def test_drain_block_changes_no_output(self, monkeypatch):

@@ -140,16 +140,13 @@ def cxl_payload_digest() -> str:
         ws_scale=16 * _K / (1024 * 1024),
     )
     sim = CxlTierSimulation("gcc", config)
-    cable = sim.leg.cable
-    inner = cable._account  # the leg's own hook; keep its accounting
     digest = hashlib.sha256()
 
-    def hashing_account(direction, event, payload, search):
-        digest.update(str(direction).encode())
-        digest.update(encode_payload(payload).getvalue())
-        inner(direction, event, payload, search)
+    def hash_transfer(record):
+        digest.update(str(record.direction).encode())
+        digest.update(encode_payload(record.payload).getvalue())
 
-    cable._account = hashing_account
+    sim.leg.cable.listeners.append(hash_transfer)
     result = sim.run()
     digest.update(str(result.payload_bits).encode())
     return digest.hexdigest()

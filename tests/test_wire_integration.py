@@ -1,6 +1,6 @@
 """Wire-exact integration: live CABLE traffic through real bits.
 
-Hooks the link pair's accounting so that *every* payload produced
+Listens on the link pair's transfers so that *every* payload produced
 during a simulation is flattened to its exact wire bits, parsed back
 with nothing but the bits + negotiated format, and decompressed from
 the receiver's cache — proving the full production path, not just the
@@ -51,12 +51,10 @@ def test_live_fills_roundtrip_through_bits(engine_name):
     decoder = make_engine(engine_name)
     checked = {"n": 0}
 
-    original_account = link._account
-
-    def wire_check(direction, event, payload, search):
-        original_account(direction, event, payload, search)
-        if direction != "fill":
+    def wire_check(record):
+        if record.direction != "fill":
             return
+        payload = record.payload
         # ORACLE hybrid aside, the block algorithm matches the engine.
         writer = encode_payload(payload, fmt)
         decoded = decode_payload(
@@ -71,10 +69,10 @@ def test_live_fills_roundtrip_through_bits(engine_name):
                 assert line is not None
                 references.append(line.data)
             out = decoder.decompress_with_references(decoded.block, references)
-        assert out == event.data
+        assert out == record.data
         checked["n"] += 1
 
-    link._account = wire_check
+    link.listeners.append(wire_check)
     rng = random.Random(1)
     for i in range(1200):
         addr = rng.randrange(300)
