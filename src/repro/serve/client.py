@@ -68,14 +68,9 @@ class _Pending:
 class RemoteClient:
     """One remote-cache session over a byte-stream connection."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer,
-        flush_interval: float = 0.0,
-    ) -> None:
+    def __init__(self, reader: asyncio.StreamReader, writer) -> None:
         self.reader = reader
-        self.sender = StreamSender(writer, flush_interval)
+        self.sender = StreamSender(writer)
         self.decoder = FrameDecoder()
         cable = CableConfig()
         self.engine_name = cable.engine
@@ -100,11 +95,9 @@ class RemoteClient:
         }
 
     @classmethod
-    async def connect_tcp(
-        cls, host: str, port: int, flush_interval: float = 0.0
-    ) -> "RemoteClient":
+    async def connect_tcp(cls, host: str, port: int) -> "RemoteClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, flush_interval)
+        return cls(reader, writer)
 
     # ------------------------------------------------------------------
     # Receive plumbing

@@ -54,9 +54,10 @@ class ClusterConfig:
     verbose: bool = False
 
     # -- serve knobs forwarded to every worker -------------------------
+    # Writer batching is not among them: every sender in every process
+    # flushes once at the end of its event-loop pass.
     max_sessions: int = 64
     queue_depth: int = 32
-    flush_interval: float = 0.002
     replica_flush_accesses: int = 4
     #: Online knob tuning policy ("epsilon", "ucb1" or "onoff"; empty
     #: disables). Each worker builds its own TuningPlan seeded by its

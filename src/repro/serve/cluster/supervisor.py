@@ -210,8 +210,6 @@ class ClusterService:
             str(self.config.max_sessions),
             "--queue-depth",
             str(self.config.queue_depth),
-            "--flush-interval",
-            str(self.config.flush_interval),
             "--replica-flush-accesses",
             str(self.config.replica_flush_accesses),
         ]
@@ -264,7 +262,7 @@ class ClusterService:
             handle = self.workers.get(int(message["worker"]))
             if handle is None:
                 return None
-            handle.sender = StreamSender(writer, 0.0)
+            handle.sender = StreamSender(writer)
             handle.serve_port = int(message["serve_port"])
             handle.replica_port = int(message["replica_port"])
             handle.pid = int(message.get("pid", handle.pid))

@@ -61,10 +61,6 @@ from repro.serve.server import LinkService
 from repro.serve.session import ServeConfig
 from repro.serve.transport import READ_CHUNK, StreamSender
 
-#: Ship/control links write through (no coalescing timer): batching is
-#: the shipper's job, and control messages are latency-sensitive.
-_SHIP_FLUSH = 0.0
-
 
 class ClusterWorker:
     """Event-loop state of one worker process."""
@@ -126,7 +122,7 @@ class ClusterWorker:
             reader, writer = await asyncio.open_connection(host, port)
         except OSError:
             return False  # buddy died before we dialed; next BUDDY heals
-        sender = StreamSender(writer, _SHIP_FLUSH)
+        sender = StreamSender(writer)
         sender.send(_frame(SHIP_HELLO, encode_hello(self.worker_id)))
         self._ship_sender = sender
         self._ship_task = asyncio.get_running_loop().create_task(
@@ -239,7 +235,7 @@ class ClusterWorker:
         self._replica_tasks.add(task)
         decoder = FrameDecoder(max_frame_bytes=SHIP_MAX_FRAME_BYTES)
         source: Optional[int] = None
-        back = StreamSender(writer, _SHIP_FLUSH)
+        back = StreamSender(writer)
         try:
             while True:
                 try:
@@ -438,7 +434,7 @@ class ClusterWorker:
         reader, writer = await asyncio.open_connection(
             self.control_host, self.control_port
         )
-        self._ctrl = StreamSender(writer, _SHIP_FLUSH)
+        self._ctrl = StreamSender(writer)
         self._ctrl_send(
             {
                 "kind": "ready",
@@ -493,7 +489,6 @@ def main(argv=None) -> int:
     parser.add_argument("--heartbeat", type=float, default=0.25)
     parser.add_argument("--max-sessions", type=int, default=64)
     parser.add_argument("--queue-depth", type=int, default=32)
-    parser.add_argument("--flush-interval", type=float, default=0.002)
     parser.add_argument("--replica-flush-accesses", type=int, default=4)
     parser.add_argument(
         "--tune",
@@ -536,7 +531,6 @@ def main(argv=None) -> int:
         port=0,
         max_sessions=args.max_sessions,
         queue_depth=args.queue_depth,
-        flush_interval=args.flush_interval,
         replica_flush_accesses=args.replica_flush_accesses,
         tuning=tuning,
     )

@@ -238,7 +238,6 @@ async def _loadgen_main(args: argparse.Namespace) -> int:
             )
         config = ServeConfig(
             queue_depth=args.queue_depth,
-            flush_interval=args.flush_interval,
             faults=faults,
             max_sessions=max(64, args.clients),
             tuning=tuning,
@@ -333,7 +332,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0xCAB1E)
     parser.add_argument("--window", type=int, default=8)
     parser.add_argument("--queue-depth", type=int, default=32)
-    parser.add_argument("--flush-interval", type=float, default=0.002)
     parser.add_argument(
         "--fault-rate",
         type=float,

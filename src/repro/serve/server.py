@@ -70,9 +70,7 @@ class LinkService:
     # ------------------------------------------------------------------
 
     async def handle_connection(self, reader, writer) -> None:
-        sender = StreamSender(
-            writer, self.config.flush_interval, self.config.max_batch_bytes
-        )
+        sender = StreamSender(writer, self.config.max_batch_bytes)
         self._senders.add(sender)
         decoder = FrameDecoder()
         session: Optional[Session] = None
@@ -191,7 +189,6 @@ async def _serve_main(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_depth=args.queue_depth,
-        flush_interval=args.flush_interval,
         max_sessions=args.max_sessions,
         faults=faults,
     )
@@ -233,7 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="TCP port (0 = ephemeral; the bound port is printed at startup)",
     )
     parser.add_argument("--queue-depth", type=int, default=32)
-    parser.add_argument("--flush-interval", type=float, default=0.002)
     parser.add_argument("--max-sessions", type=int, default=64)
     parser.add_argument(
         "--fault-rate",

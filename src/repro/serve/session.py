@@ -87,8 +87,6 @@ class ServeConfig:
     queue_depth: int = 32
     #: Backoff hint shipped with RETRY, milliseconds.
     retry_after_ms: int = 2
-    #: Writer coalescing window (seconds); 0 disables batching.
-    flush_interval: float = 0.002
     #: Flush early once a batch reaches this size.
     max_batch_bytes: int = 8192
     #: Frames kept per session for NACK retransmission.

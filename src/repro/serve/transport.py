@@ -9,15 +9,16 @@ Two pieces:
   reader's buffering).
 - :class:`StreamSender` — the coalescing writer side. Protocol code
   emits one stream record at a time; the sender batches them and
-  writes once per ``flush_interval`` (or sooner when a batch fills),
-  so a burst of small frames costs one transport write instead of
-  dozens. ``flush_interval=0`` degenerates to write-through.
+  writes once at the end of the event-loop pass that produced them
+  (or sooner when a batch fills), so a burst of small frames costs
+  one transport write instead of dozens and no record waits on a
+  timer.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs.registry import METRICS
 
@@ -83,48 +84,40 @@ def open_memory_pipe() -> Tuple[
 
 
 class StreamSender:
-    """Coalescing record writer with a flush-interval knob.
+    """Coalescing record writer that flushes once per event-loop pass.
 
-    ``send`` is synchronous and never blocks: records accumulate in a
-    batch buffer that is written out when it reaches
-    ``max_batch_bytes`` or when the ``flush_interval`` timer fires,
-    whichever comes first. ``drain`` forces the batch out and awaits
-    the transport; call it at protocol checkpoints (end of a burst,
-    before waiting on the peer) so coalescing can never deadlock a
-    request/response exchange.
+    ``send`` is synchronous and never blocks: the first record buffered
+    in a pass schedules one ``call_soon`` flush, so everything sent in
+    one synchronous stretch (a worker block's FRAMEs and RESULTs, a
+    pump's ship records) leaves in one transport write. A batch that
+    reaches ``max_batch_bytes`` is written at once. ``drain`` forces
+    the batch out and awaits the transport; call it at protocol
+    checkpoints (end of a burst, before waiting on the peer). A
+    scheduled flush that finds the batch already written does nothing.
     """
 
-    def __init__(
-        self,
-        writer,
-        flush_interval: float = 0.002,
-        max_batch_bytes: int = 8192,
-    ) -> None:
+    def __init__(self, writer, max_batch_bytes: int = 8192) -> None:
         self.writer = writer
-        self.flush_interval = flush_interval
         self.max_batch_bytes = max_batch_bytes
         self._buffer = bytearray()
         self._batched = 0
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._scheduled = False
         self.stats = {"records": 0, "flushes": 0, "bytes": 0}
 
     def send(self, record: bytes) -> None:
-        """Queue one stream record for the next batched write."""
+        """Queue one stream record; it leaves at the end of this pass."""
         self._buffer += record
         self._batched += 1
         self.stats["records"] += 1
-        if len(self._buffer) >= self.max_batch_bytes or self.flush_interval <= 0:
+        if len(self._buffer) >= self.max_batch_bytes:
             self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.flush_interval, self.flush
-            )
+        elif not self._scheduled:
+            self._scheduled = True
+            asyncio.get_running_loop().call_soon(self.flush)
 
     def flush(self) -> None:
-        """Write the pending batch now (cancels the interval timer)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Write the pending batch now."""
+        self._scheduled = False
         if not self._buffer:
             return
         data = bytes(self._buffer)

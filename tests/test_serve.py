@@ -22,6 +22,7 @@ from repro.serve.client import RemoteClient, SessionRejected
 from repro.serve.loadgen import client_tag, run_loadgen
 from repro.serve.server import LinkService
 from repro.serve.session import ServeConfig, synthetic_line
+from repro.serve.transport import StreamSender
 from repro.trace.stream import WorkloadModel
 
 
@@ -318,6 +319,109 @@ class TestFraming:
             assert list(session.window.values()) == [
                 (protocol.DIR_NAMES[t.direction],) + t.frame for t in shipped
             ]
+
+
+class _RecordingWriter:
+    """Transport stand-in that keeps each ``write()`` as one entry."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        return None
+
+
+class TestStreamSender:
+    def test_one_write_per_loop_pass(self):
+        records = [b"frame-1", b"frame-2", b"result"]
+
+        async def scenario():
+            writer = _RecordingWriter()
+            sender = StreamSender(writer)
+            for record in records:
+                sender.send(record)
+            assert writer.writes == []  # nothing leaves mid-pass
+            await asyncio.sleep(0)
+            return writer.writes, sender.stats
+
+        writes, stats = asyncio.run(scenario())
+        assert writes == [b"".join(records)]
+        assert stats == {
+            "records": 3,
+            "flushes": 1,
+            "bytes": sum(len(record) for record in records),
+        }
+
+    def test_full_batch_writes_synchronously(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            sender = StreamSender(writer, max_batch_bytes=8)
+            sender.send(b"1234")
+            assert writer.writes == []
+            sender.send(b"5678")
+            assert writer.writes == [b"12345678"]
+            await asyncio.sleep(0)
+            return writer.writes, sender.stats["flushes"]
+
+        assert asyncio.run(scenario()) == ([b"12345678"], 1)
+
+    def test_drain_writes_once(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            sender = StreamSender(writer)
+            sender.send(b"open")
+            await sender.drain()
+            assert writer.writes == [b"open"]
+            # The flush scheduled by send() finds an empty buffer.
+            await asyncio.sleep(0)
+            return writer.writes, sender.stats["flushes"]
+
+        assert asyncio.run(scenario()) == ([b"open"], 1)
+
+    def test_later_pass_gets_its_own_write(self):
+        async def scenario():
+            writer = _RecordingWriter()
+            sender = StreamSender(writer)
+            sender.send(b"first")
+            await asyncio.sleep(0)
+            sender.send(b"second")
+            await asyncio.sleep(0)
+            return writer.writes, sender.stats["flushes"]
+
+        assert asyncio.run(scenario()) == ([b"first", b"second"], 2)
+
+    def test_served_batching_never_collapses_to_write_through(self, monkeypatch):
+        # Each FRAME must share a write with its RESULT: write-through
+        # would leave one record per write.
+        from repro.fault.plan import FaultPlan
+        from repro.serve import server
+
+        senders = []
+
+        class RecordingSender(StreamSender):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                senders.append(self)
+
+        monkeypatch.setattr(server, "StreamSender", RecordingSender)
+
+        async def scenario():
+            service = LinkService(
+                ServeConfig(faults=FaultPlan.uniform(0.02, seed=5))
+            )
+            report = await run_loadgen(
+                clients=2, accesses=300, benchmark="lbm", service=service
+            )
+            assert report.ok
+
+        asyncio.run(scenario())
+        assert len(senders) == 2
+        records = sum(sender.stats["records"] for sender in senders)
+        flushes = sum(sender.stats["flushes"] for sender in senders)
+        assert records / flushes >= 2
 
 
 class TestWarmLookahead:

@@ -128,6 +128,26 @@ def smoke_failover() -> int:
     return 0
 
 
+def _archive_cluster_obs(report, name: str) -> None:
+    """Archive a cluster campaign's merged worker registry under *name*
+    and print its records per transport write.
+
+    The snapshot exists only under ``REPRO_OBS=1``. Records per write
+    comes from the merged ``serve.batch_records`` histogram; it is
+    printed for the job log, not gated.
+    """
+    obs = report.drain_report.get("obs")
+    if not obs:
+        return
+    (OUTPUT_DIR / name).write_text(json.dumps(obs, indent=2, sort_keys=True))
+    batch = obs.get("histograms", {}).get("serve.batch_records", {})
+    if batch.get("count"):
+        print(
+            f"records_per_write={batch['total'] / batch['count']:.2f} "
+            f"({batch['total']} records in {batch['count']} writes)"
+        )
+
+
 def smoke_cluster() -> int:
     """Sharded service across process boundaries under a kill storm."""
     import asyncio
@@ -148,11 +168,7 @@ def smoke_cluster() -> int:
     (OUTPUT_DIR / "cluster_smoke.json").write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True)
     )
-    obs = report.drain_report.get("obs")
-    if obs:
-        (OUTPUT_DIR / "cluster_smoke.obs.json").write_text(
-            json.dumps(obs, indent=2, sort_keys=True)
-        )
+    _archive_cluster_obs(report, "cluster_smoke.obs.json")
     assert report.kills >= 8, "campaign killed too few workers"
     assert report.recoveries >= report.kills, "a kill was never recovered"
     assert report.lost_sessions == 0, "a victim's session restarted fresh"
@@ -312,6 +328,7 @@ def smoke_cluster_soak() -> int:
     (OUTPUT_DIR / "cluster_soak.json").write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True)
     )
+    _archive_cluster_obs(report, "cluster_soak.obs.json")
     assert report.clients == 256, "soak must run 256 clients"
     assert report.recoveries >= report.kills, "a kill was never recovered"
     assert report.lost_sessions == 0, "a victim's session restarted fresh"
