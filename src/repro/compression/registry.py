@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, ReferenceCompressor
 from repro.compression.bdi import BdiCompressor
 from repro.compression.cpack import CpackCompressor
 from repro.compression.lbe import LbeCompressor
@@ -38,3 +38,12 @@ def make_engine(name: str) -> Compressor:
         known = ", ".join(sorted(ENGINE_FACTORIES))
         raise ValueError(f"unknown engine {name!r}; known engines: {known}") from None
     return factory()
+
+
+def make_reference_engine(name: str) -> ReferenceCompressor:
+    """A fresh engine that can be seeded with reference lines (what a
+    CABLE endpoint compresses with)."""
+    engine = make_engine(name)
+    if not isinstance(engine, ReferenceCompressor):
+        raise ValueError(f"engine {name!r} cannot be seeded with references")
+    return engine

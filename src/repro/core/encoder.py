@@ -10,19 +10,20 @@ from payloads by reading its own data array.
 :class:`CableLinkPair` bundles both endpoints around an
 :class:`~repro.cache.hierarchy.InclusivePair` and keeps them
 synchronized through the pair's coherence events (see
-:mod:`repro.core.sync`).
+:mod:`repro.core.sync`). What happens to the endpoints' metadata
+between transfers — durability, crash restart, reconfiguration and
+failover — is the pair's :class:`~repro.link.lifecycle.LinkLifecycle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, List, Optional, Tuple
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
 from repro.cache.setassoc import LineId, SetAssociativeCache
-from repro.compression.base import ReferenceCompressor
-from repro.compression.registry import make_engine
+from repro.compression.registry import make_reference_engine
 from repro.core.config import CableConfig
 from repro.core.errors import DecompressionError, StaleReferenceError
 from repro.core.evictbuf import EvictionBuffer
@@ -31,12 +32,11 @@ from repro.core.payload import Payload, PayloadKind, choose_payload
 from repro.core.search import SearchPipeline, SearchResult
 from repro.core.signature import SignatureExtractor
 from repro.core.wmt import WayMapTable
+from repro.link.lifecycle import LinkLifecycle
 from repro.link.recovery import Delivery, RecoveryLayer
 from repro.link.wire import wire_format_for
 from repro.obs.registry import METRICS
 from repro.obs.report import publish_kernel_gauges
-from repro.obs.tracer import trace
-from repro.tune.plan import GEOMETRY_KNOBS, TUNABLE_KNOBS
 
 __all__ = [
     "CableHomeEncoder",
@@ -44,27 +44,8 @@ __all__ = [
     "CableRemoteDecoder",
     "DecompressionError",  # canonical home is repro.core.errors
     "EncodeOutcome",
-    "FailoverOutcome",
     "TransferRecord",
 ]
-
-
-@dataclass(frozen=True)
-class FailoverOutcome:
-    """What one standby promotion achieved."""
-
-    #: True when both sides promoted replay-grade (clean standby, no
-    #: backlog lost); False when the auditor had to reconcile.
-    hot: bool
-    #: Journaled records the asynchronous replication lag cost us.
-    lost_records: int
-
-
-def _make_reference_engine(name: str) -> ReferenceCompressor:
-    engine = make_engine(name)
-    if not isinstance(engine, ReferenceCompressor):
-        raise ValueError(f"engine {name!r} cannot be seeded with references")
-    return engine
 
 
 @dataclass
@@ -93,7 +74,7 @@ class _CableEndpoint:
             scale=config.hash_table_scale,
             bucket_entries=config.hash_bucket_entries,
         )
-        self.engine = _make_reference_engine(config.engine)
+        self.engine = make_reference_engine(config.engine)
         self.pipeline = SearchPipeline(
             config,
             self.extractor,
@@ -483,59 +464,9 @@ class CableLinkPair:
                 breaker_clock=breaker_clock,
             )
             self.recovery_layer.bind(self)
-        # Crash durability (repro.state): per-endpoint snapshot+journal
-        # managers guarding the volatile mirrored metadata.
-        self.home_state = None
-        self.remote_state = None
-        self._resync_session = None
-        if config.durability is not None:
-            self._arm_durability(config.durability)
-        # Replication slot (repro.replica): the journal shipper keeping
-        # a warm standby of both endpoints — an in-process WarmStandby
-        # (arm_replication) or a cluster worker's SessionShipper. All
-        # the pair ever calls on it is pump(force) and reseed().
-        self.replica = None
+        #: Durability, crash restart, reconfiguration and failover.
+        self.lifecycle = LinkLifecycle(self)
         pair.add_observer(self._on_event)
-
-    def _arm_durability(self, policy) -> None:
-        from repro.state.manager import EndpointStateManager
-
-        home_geometry = self.pair.home.geometry
-        homelid_bits = home_geometry.lineid_bits
-        remotelid_bits = self.config.remotelid_bits
-        costs = {
-            "wmt_install": homelid_bits + remotelid_bits,
-            "wmt_inval_remote": remotelid_bits,
-            "wmt_inval_home": homelid_bits,
-            "hash_insert": 32 + homelid_bits,
-            "hash_remove": 32 + homelid_bits,
-            "evict_record": 32 + remotelid_bits + 32,
-            "evict_ack": 32,
-        }
-        self.home_state = EndpointStateManager(
-            "home",
-            policy,
-            {
-                "wmt": self.home_encoder.wmt,
-                "hash": self.home_encoder.hash_table,
-                "breaker": self.recovery_layer.breaker,
-            },
-            costs,
-        )
-        remote_costs = dict(costs)
-        remote_costs["hash_insert"] = 32 + remotelid_bits
-        remote_costs["hash_remove"] = 32 + remotelid_bits
-        self.remote_state = EndpointStateManager(
-            "remote",
-            policy,
-            {
-                "hash": self.remote_decoder.hash_table,
-                "evictbuf": self.remote_decoder.evict_buffer,
-            },
-            remote_costs,
-        )
-        self.home_state.attach()
-        self.remote_state.attach()
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -615,7 +546,7 @@ class CableLinkPair:
                 frame=frame,
             )
         )
-        self._step_resync()
+        self.lifecycle.step()
 
     def _encode(self, direction: str, event: TransferEvent):
         """The outbound payload and its search diagnostics (None when
@@ -650,407 +581,7 @@ class CableLinkPair:
                 layer.health.bump("breaker_recoveries")
         elif breaker.record(not delivery.degraded):
             layer.health.bump("breaker_trips")
-            if layer.policy.failover_on_trip and self.replica is not None:
-                # A tripping primary is a failing primary: promote the
-                # warm standby instead of limping through cooldown.
-                self.failover()
-            elif layer.policy.resync_on_trip:
-                # A real link would retrain; the model re-audits and
-                # repairs WMT/hash state so the post-cooldown window
-                # starts from synchronized metadata.
-                self.resync()
-
-    def resync(self):
-        """Audit and repair both endpoints' metadata (§III-F auditor).
-
-        Returns the :class:`repro.core.sync.AuditReport`; when a
-        recovery layer is active its health counters record the pass.
-        """
-        from repro.core.sync import audit  # lazy: sync imports this module
-
-        with trace("link.resync"):
-            report = audit(self, repair=True)
-        if self.recovery_layer is not None:
-            self.recovery_layer.health.bump("resyncs")
-            self.recovery_layer.health.bump("resync_repairs", report.repairs)
-        if report.repairs:
-            self._rebaseline()
-        return report
-
-    def _rebaseline(self) -> None:
-        """Follow a journal-bypassing bulk mutation (audit repair, hash
-        reshape, warm promotion): checkpoint both durability managers
-        so a later replay starts from the new image, and reseed the
-        replica slot so its standby does too — a standby left on the
-        old image would replay later batches on top of it and could
-        still claim the primary's progress."""
-        for manager in (self.home_state, self.remote_state):
-            if manager is not None:
-                manager.checkpoint()
-        if self.replica is not None:
-            self.replica.reseed()
-
-    # ------------------------------------------------------------------
-    # Crash / restart (repro.state + epoch resync)
-    # ------------------------------------------------------------------
-
-    #: Volatile structures wiped by a warm restart of each endpoint
-    #: (cache data arrays survive; they are the ground truth).
-    _VOLATILE = {
-        "home": ("wmt", "hash", "breaker"),
-        "remote": ("hash", "evictbuf"),
-    }
-
-    def crash_endpoint(self, side: str, sabotage=(), sabotage_rng=None) -> str:
-        """Kill one endpoint's metadata mid-run and bring it back.
-
-        *side* is ``"home"`` or ``"remote"``. *sabotage* lists
-        persistent-store faults applied before the restart:
-        ``"snapshot"`` (flip a byte of the newest snapshot, needs
-        *sabotage_rng*), ``"journal_poison"`` (torn journal device) and
-        ``"journal_tail"`` (silently lose the newest records).
-
-        Returns the recovery path taken: ``"replay"`` (snapshot +
-        journal replay verified by the epoch handshake), ``"rebuild"``
-        (handshake refused the restore; incremental audit-rebuild) or
-        ``"ground-truth"`` (no durability manager; stop-the-world
-        rebuild from the cache arrays).
-        """
-        if side not in self._VOLATILE:
-            raise ValueError(f"unknown endpoint {side!r}")
-        layer = self.recovery_layer
-        if layer is None:
-            raise RuntimeError(
-                "crash_endpoint requires the framed link "
-                "(set config.durability, config.recovery or config.faults)"
-            )
-        layer.health.bump("endpoint_crashes")
-        manager = self.home_state if side == "home" else self.remote_state
-        expected = None
-        if manager is not None:
-            # What the peer knows: every journaled op rode a delivered
-            # frame, so the pre-sabotage progress is the peer's view.
-            expected = manager.expected_progress()
-            for kind in sabotage:
-                if kind == "snapshot":
-                    manager.corrupt_newest_snapshot(sabotage_rng)
-                elif kind == "journal_poison":
-                    manager.poison_journal()
-                elif kind == "journal_tail":
-                    count = (
-                        sabotage_rng.randrange(1, 9) if sabotage_rng else 4
-                    )
-                    manager.drop_journal_tail(count)
-                else:
-                    raise ValueError(f"unknown sabotage {kind!r}")
-        self._wipe_volatile(side)
-        if manager is None:
-            return self._recover_ground_truth(side)
-        from repro.link.recovery import EpochResync
-
-        restored = manager.restore()
-        handshake = EpochResync(layer.policy, layer.health)
-        path = handshake.reconnect(
-            (manager.expected_progress(), restored), expected
-        )
-        if path == "replay":
-            return path
-        # The handshake refused the restored image: drop it and rebuild
-        # from ground truth, then re-baseline the manager.
-        self._wipe_volatile(side)
-        if side == "remote":
-            self._rebuild_remote_metadata()
-            manager.checkpoint()
-        else:
-            self._resync_session = self._make_resync_session()
-        return path
-
-    def _wipe_volatile(self, side: str) -> None:
-        structures = {
-            "wmt": self.home_encoder.wmt,
-            "breaker": self.recovery_layer.breaker,
-        }
-        if side == "home":
-            structures["hash"] = self.home_encoder.hash_table
-        else:
-            structures = {
-                "hash": self.remote_decoder.hash_table,
-                "evictbuf": self.remote_decoder.evict_buffer,
-            }
-        for name in self._VOLATILE[side]:
-            structures[name].reset_state()
-
-    def _make_resync_session(self):
-        from repro.link.recovery import ResyncSession
-
-        durability = self.config.durability
-        chunk = durability.resync_chunk_sets if durability else 4
-        return ResyncSession(self, self.recovery_layer.health, chunk)
-
-    def _recover_ground_truth(self, side: str) -> str:
-        """No durability manager: stop-the-world rebuild from the cache
-        arrays — the baseline the snapshot+journal path is measured
-        against."""
-        self.recovery_layer.health.bump("full_rebuilds")
-        if side == "remote":
-            self._rebuild_remote_metadata()
-        else:
-            session = self._make_resync_session()
-            while not session.step():
-                pass
-        return "ground-truth"
-
-    def _rebuild_remote_metadata(self) -> None:
-        """Reindex the remote hash table from the remote cache's own
-        lines (local work — no link traffic). The eviction buffer
-        stays cold: lost entries surface as failed rescues → RAW,
-        never as silent corruption."""
-        decoder = self.remote_decoder
-        for remote_lid, line in self.pair.remote:
-            if line.state is not None and line.state.usable_as_reference:
-                for signature in decoder.extractor.index_signatures(line.data):
-                    decoder.hash_table.insert(signature, remote_lid)
-
-    def _step_resync(self) -> None:
-        session = self._resync_session
-        if session is None:
-            return
-        if session.step():
-            self._resync_session = None
-            if self.home_state is not None:
-                self.home_state.checkpoint()
-
-    def drain_resync(self) -> int:
-        """Finish any in-flight incremental rebuild (end of run)."""
-        steps = 0
-        while self._resync_session is not None:
-            self._step_resync()
-            steps += 1
-        return steps
-
-    # ------------------------------------------------------------------
-    # Online reconfiguration (repro.tune)
-    # ------------------------------------------------------------------
-
-    #: Config fields :meth:`apply_config` may change on a live pair.
-    #: Everything else is baked into construction (cache geometry,
-    #: fault/recovery/durability wiring, the H3 matrices behind
-    #: ``hash_seed``) and would need a rebuild, not a knob turn. The
-    #: knob sets are owned by :mod:`repro.tune.plan`, so an arm can
-    #: only name knobs this method accepts.
-    _TUNABLE = TUNABLE_KNOBS - {"enabled"}
-    #: Fields whose change invalidates memoized *index* signatures.
-    _INDEX_MEMO_FIELDS = frozenset(
-        {"signature_offsets", "signatures_per_line", "trivial_threshold_bits"}
-    )
-    #: Fields that re-shape the signature hash tables.
-    _GEOMETRY_FIELDS = GEOMETRY_KNOBS
-
-    def apply_knobs(self, **overrides) -> frozenset:
-        """Convenience wrapper: ``apply_config`` from keyword overrides."""
-        return self.apply_config(self.config.with_overrides(**overrides))
-
-    def apply_config(self, target: CableConfig) -> frozenset:
-        """Switch the live pair to *target*'s knob settings.
-
-        This is the single safe point for online tuning
-        (:mod:`repro.tune`): callers invoke it only at epoch
-        boundaries. The protocol, in order: flush the replica slot's
-        backlog (so the standby's journal, in-process or on a buddy
-        worker, ends at a consistent pre-change point), rebind the
-        config on both endpoints and drop every config-derived memo,
-        swap compressor engines (and the wire format with them), then
-        re-shape and rebuild the hash tables from cache ground truth if
-        the geometry moved — with journaling suspended, followed by
-        :meth:`_rebaseline`, exactly the bulk-mutation rule the
-        durability managers document.
-
-        Returns the set of field names that actually changed (empty
-        when *target* equals the current config — a no-op).
-        """
-        changed = frozenset(
-            f.name
-            for f in fields(CableConfig)
-            if getattr(target, f.name) != getattr(self.config, f.name)
-        )
-        if not changed:
-            return changed
-        illegal = changed - self._TUNABLE
-        if illegal:
-            raise ValueError(
-                f"config fields {sorted(illegal)} cannot change on a live pair"
-            )
-        if self.replica is not None:
-            self.replica.pump(force=True)
-        self.config = target
-        for endpoint in (self.home_encoder, self.remote_decoder):
-            endpoint.config = target
-            endpoint.extractor.config = target
-            endpoint.pipeline.config = target
-            if changed & self._INDEX_MEMO_FIELDS:
-                endpoint.extractor._index_memo.clear()
-            if "trivial_threshold_bits" in changed:
-                endpoint.extractor._search_memo.clear()
-        if "engine" in changed:
-            self.home_encoder.engine = _make_reference_engine(target.engine)
-            self.remote_decoder.engine = _make_reference_engine(target.engine)
-            if self.recovery_layer is not None:
-                link = self.recovery_layer.link
-                link.fmt = wire_format_for(target, self.home_encoder.engine)
-                link.engine_name = target.engine
-        if changed & self._GEOMETRY_FIELDS:
-            self._reshape_hash_tables(target)
-        return changed
-
-    def _reshape_hash_tables(self, target: CableConfig) -> None:
-        """Re-shape both signature hash tables and rebuild them from
-        cache ground truth (local work, no link traffic)."""
-        managers = [
-            manager
-            for manager in (self.home_state, self.remote_state)
-            if manager is not None
-        ]
-        for manager in managers:
-            manager.suspended = True
-        try:
-            self.home_encoder.hash_table.reconfigure(
-                max(1, int(self.pair.home.geometry.lines * target.hash_table_scale)),
-                target.hash_bucket_entries,
-            )
-            self.remote_decoder.hash_table.reconfigure(
-                max(1, int(self.pair.remote.geometry.lines * target.hash_table_scale)),
-                target.hash_bucket_entries,
-            )
-            self._rebuild_home_metadata()
-            self._rebuild_remote_metadata()
-        finally:
-            for manager in managers:
-                manager.suspended = False
-        self._rebaseline()
-
-    def _rebuild_home_metadata(self) -> None:
-        """Reindex the home hash table from the WMT's ground truth.
-
-        Unlike the crash-recovery resync walk this trusts the live WMT
-        (nothing crashed — the table was merely re-shaped), so no
-        byte-verification traffic is charged: for every remote-resident
-        line whose home copy is reference-usable, re-insert its
-        index-time signatures under the home LID.
-        """
-        encoder = self.home_encoder
-        wmt = encoder.wmt
-        home = self.pair.home
-        for remote_lid, line in self.pair.remote:
-            home_lid = wmt.home_lid_for(remote_lid)
-            if home_lid is None:
-                continue
-            home_line = home.read_by_lineid(home_lid)
-            if (
-                home_line is None
-                or home_line.state is None
-                or not home_line.state.usable_as_reference
-            ):
-                continue
-            for signature in encoder.extractor.index_signatures(line.data):
-                encoder.hash_table.insert(signature, home_lid)
-
-    # ------------------------------------------------------------------
-    # Warm-standby replication / failover (repro.replica)
-    # ------------------------------------------------------------------
-
-    def arm_replication(self, policy=None, ship_fault=None):
-        """Attach an in-process warm standby to both endpoints' journals.
-
-        *policy* is a :class:`repro.replica.plan.ReplicationPolicy`
-        (defaulted); *ship_fault* optionally sabotages every shipped
-        batch (see :class:`repro.replica.standby.WarmStandby`).
-        Requires the durability managers — replication ships the
-        journal they maintain. Returns the standby, which occupies the
-        :attr:`replica` slot.
-        """
-        from repro.replica.plan import ReplicationPolicy
-        from repro.replica.standby import WarmStandby
-
-        if self.home_state is None or self.remote_state is None:
-            raise RuntimeError(
-                "replication requires durability (set config.durability)"
-            )
-        self.replica = WarmStandby(
-            {"home": self.home_state, "remote": self.remote_state},
-            policy or ReplicationPolicy(),
-            ship_fault,
-        )
-        return self.replica
-
-    def failover(self) -> "FailoverOutcome":
-        """Kill the primary's metadata and promote the warm standby.
-
-        Unlike :meth:`crash_endpoint`, nothing is restored from the
-        primary's persistent store — the machine is gone. Both sides'
-        volatile structures are wiped and replaced with the standby's
-        mirror image; the existing HELLO/EPOCH handshake then
-        adjudicates the image exactly as it would a crash restore: a
-        *clean* standby (every shipped record applied in order, empty
-        backlog) is replay-grade — the journal tee guarantees it saw
-        every op the peer's frames carried — while a lossy one (lag at
-        kill, un-healed gap) is not trusted and the promotion is
-        reconciled against cache ground truth by the §III-F auditor.
-        Each manager checkpoints on the promoted image, bumping the
-        epoch — live sessions observe the bump and stale resumes are
-        redirected through the resync-before-grant path. Finally the
-        standby reseeds exactly once, the old primary rejoining as the
-        new standby.
-        """
-        from repro.link.recovery import EpochResync
-        from repro.replica.standby import WarmStandby
-        from repro.state.manager import RestoreResult
-
-        replica = self.replica
-        if not isinstance(replica, WarmStandby):
-            raise RuntimeError("failover requires arm_replication() first")
-        layer = self.recovery_layer
-        if layer is None:
-            raise RuntimeError("failover requires the framed link")
-        layer.health.bump("failovers")
-        lost_total = 0
-        hot = True
-        for side in ("home", "remote"):
-            manager = self.home_state if side == "home" else self.remote_state
-            expected = manager.expected_progress()
-            lost, clean, sections = replica.kill_primary(side)
-            lost_total += lost
-            self._wipe_volatile(side)
-            manager.suspended = True
-            try:
-                for name, image in sections.items():
-                    manager.structures[name].restore_state(image)
-            finally:
-                manager.suspended = False
-            standby = replica.standbys[side]
-            promoted = RestoreResult(
-                base_epoch=standby.applied_progress[0],
-                records_replayed=standby.stats["records_applied"],
-                replay_bits=standby.stats["bits_applied"],
-                complete=clean,
-            )
-            progress = expected if clean else standby.applied_progress
-            handshake = EpochResync(layer.policy, layer.health)
-            if handshake.reconnect((progress, promoted), expected) != "replay":
-                hot = False
-            manager.checkpoint()
-        layer.health.bump("replication_lost_records", lost_total)
-        layer.health.bump("hot_promotions" if hot else "warm_promotions")
-        # A warm image predates the lost journal tail: the auditor
-        # repairs it against the surviving cache arrays, and a
-        # repairing resync re-baselines — reseeding the standby — by
-        # itself. Otherwise the reseed is all that is left to do.
-        if hot or not self.resync().repairs:
-            replica.reseed()
-        if METRICS.enabled:
-            METRICS.counter(
-                "replica.promotions_hot" if hot else "replica.promotions_warm"
-            ).inc()
-        return FailoverOutcome(hot=hot, lost_records=lost_total)
+            self.lifecycle.on_breaker_trip()
 
     @property
     def health(self) -> dict:

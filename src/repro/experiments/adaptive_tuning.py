@@ -29,7 +29,7 @@ Two further gates ride in the summary:
   knob switches at epoch boundaries never corrupt served lines.
 - ``arms_payload_identical`` — twin-encoder equivalence: for every
   arm, a pair *constructed* at the arm's config and a pair *reconfigured*
-  into it via :meth:`~repro.core.encoder.CableLinkPair.apply_config`
+  into it via :meth:`~repro.link.lifecycle.LinkLifecycle.apply_config`
   produce byte-identical payload streams on an identical trace.
 """
 
@@ -107,7 +107,7 @@ def verify_arm_payload_equivalence(
         native = MemLinkSimulation(benchmark, base.scaled(cable=target))
         crossed = MemLinkSimulation(benchmark, base)
         assert native.cable is not None and crossed.cable is not None
-        crossed.cable.apply_config(target)
+        crossed.cable.lifecycle.apply_config(target)
         native.cable.enabled = arm.enabled
         crossed.cable.enabled = arm.enabled
         a: List[TransferRecord] = []

@@ -223,10 +223,10 @@ def _drive_campaign(
         if step is not None:
             step()
 
-    link.drain_resync()
+    link.lifecycle.drain_resync()
     report.health = link.health
     report.silent_corruptions = report.health.get("silent_corruptions", 0)
-    repairs = link.resync().repairs
+    repairs = link.lifecycle.resync().repairs
     from repro.core.sync import audit
 
     report.final_audit_ok = audit(link).ok
@@ -358,7 +358,7 @@ def run_crash_campaign(
             return
         sabotage = crasher.sabotage_for(side)
         with trace("state.crash_recovery"):
-            path = link.crash_endpoint(
+            path = link.lifecycle.crash_endpoint(
                 side, sabotage=sabotage, sabotage_rng=crasher.rng
             )
         report.kill_points += 1

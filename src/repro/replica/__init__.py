@@ -16,8 +16,8 @@ both senders: :class:`WarmStandby` (an in-process standby) and
 Either one occupies a link pair's single ``replica`` slot.
 
 Layering: this package depends on :mod:`repro.state` and
-:mod:`repro.core.errors` only. The link layer
-(:class:`repro.core.encoder.CableLinkPair`) arms it and drives
+:mod:`repro.core.errors` only. The link pair's lifecycle
+(:class:`repro.link.lifecycle.LinkLifecycle`) arms it and drives
 failover; the serve layer threads promotion through live sessions.
 """
 

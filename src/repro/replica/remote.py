@@ -11,7 +11,7 @@ Primary side, per session, a :class:`SessionShipper`:
 
 - runs one :class:`~repro.replica.shipper.JournalShipper` per endpoint
   journal — the same tee, backlog and batch cut as the in-process
-  standby, in the same ``CableLinkPair.replica`` slot (one journal
+  standby, in the same ``LinkLifecycle.replica`` slot (one journal
   tee per session) — and sends each CRC-guarded ``CBRB`` batch as a
   ``SHIP_BATCH`` stream record on the buddy connection;
 - tees backing-store writes (``SessionState.on_store_write``) into
@@ -31,13 +31,15 @@ fails its checksum or sequence check flips that side to
 channel (``SHIP_CATCHUP_REQ``); nothing is ever half-applied.
 
 Promotion is deliberately *warm*, never hot: the shadow replays
-metadata, but the dead worker's cache data arrays are gone, so the
-promoted pair audits its metadata against (empty) caches, checkpoints
-past every epoch the dead primary ever granted, and lets the owning
-client reconnect through the stale-HELLO resync path. Data
-correctness never depended on the caches — reads are answered from
-the shipped store (plus the synthetic fallback), which is why the
-store tee is part of the replication contract.
+metadata, but the dead worker's cache data arrays are gone, so
+:meth:`~repro.link.lifecycle.LinkLifecycle.promote_shadow` runs the
+same warm tail as an in-process failover — checkpoint past every epoch
+the dead primary ever granted, audit-repair the metadata against the
+(empty) caches, reseed — and the owning client reconnects through the
+stale-HELLO resync path. Data correctness never depended on the
+caches — reads are answered from the shipped store (plus the
+synthetic fallback), which is why the store tee is part of the
+replication contract.
 
 Every SHIP payload carries its own CRC32 trailer on top of the inner
 codecs' checksums, so a torn record is discarded whole and typed
@@ -262,22 +264,18 @@ class SessionShipper:
     *send* is a callable taking ``(channel, payload bytes)`` — the
     cluster worker binds it to the buddy connection's sender. The
     shipper occupies the session pair's replica slot
-    (``CableLinkPair.replica``), so the serve worker's flush cadence,
+    (``LinkLifecycle.replica``), so the serve worker's flush cadence,
     ``apply_config`` and the drain reach :meth:`pump`, and a
     journal-bypassing bulk mutation re-seeds the buddy.
     """
 
     def __init__(self, session, send, policy: Optional[ReplicationPolicy] = None) -> None:
         state = session.state
-        pair = state.pair
+        lifecycle = state.pair.lifecycle
         self.state = state
         self.send = send
-        managers = {"home": pair.home_state, "remote": pair.remote_state}
-        for side, manager in managers.items():
-            if manager is None:
-                raise ReplicationError(
-                    f"shipping requires durability on the {side} side"
-                )
+        if not lifecycle.managers:
+            raise ReplicationError("shipping requires durability")
         self.stats = dict.fromkeys(
             SHIPPER_STATS + ("seeds", "bytes_shipped", "store_writes_shipped"), 0
         )
@@ -286,10 +284,10 @@ class SessionShipper:
             side: JournalShipper(
                 manager, policy, partial(self._ship_batch, side), self.stats
             )
-            for side, manager in managers.items()
+            for side, manager in lifecycle.managers.items()
         }
         state.on_store_write = self._on_store_write
-        pair.replica = self
+        lifecycle.replica = self
         self.reseed()
 
     def _ship_batch(self, side: str, blob: bytes) -> None:
@@ -399,17 +397,9 @@ class StandbySessionHost:
         from repro.serve.session import Session
 
         session = Session(0, tag, self.config)
-        pair = session.pair
-        # The shadow replays; it must not journal its own replay.
-        pair.home_state.detach()
-        pair.remote_state.detach()
         standbys = {
-            "home": StandbyReplica(
-                f"{tag:#x}-home", pair.home_state.structures, (0, 0)
-            ),
-            "remote": StandbyReplica(
-                f"{tag:#x}-remote", pair.remote_state.structures, (0, 0)
-            ),
+            side: StandbyReplica(f"{tag:#x}-{side}", structures, (0, 0))
+            for side, structures in session.pair.lifecycle.shadow().items()
         }
         return _Shadow(tag, source, session, standbys)
 
@@ -524,35 +514,23 @@ class StandbySessionHost:
 
         Returns the promoted :class:`~repro.serve.session.Session`
         objects, detached and ready for
-        :meth:`~repro.serve.session.SessionManager.adopt`. Promotion
-        is warm by construction — the dead worker's cache arrays are
-        gone — so each pair re-arms its journal hooks, audits the
-        replayed metadata against its (cold) caches, and checkpoints
-        with an epoch that dominates everything the dead primary ever
-        granted: a reconnecting client's HELLO is guaranteed stale and
-        rides the resync-before-grant path.
+        :meth:`~repro.serve.session.SessionManager.adopt`. Each pair
+        is promoted warm (:meth:`~repro.link.lifecycle.LinkLifecycle.
+        promote_shadow`) with an epoch that dominates everything the
+        dead primary ever granted: a reconnecting client's HELLO is
+        guaranteed stale and rides the resync-before-grant path.
         """
         promoted = []
         for tag in [
             t for t, s in self.shadows.items() if s.source == source
         ]:
             shadow = self.shadows.pop(tag)
-            session = shadow.session
-            pair = session.pair
-            managers = {
-                "home": pair.home_state,
-                "remote": pair.remote_state,
-            }
+            applied = {}
             for side, standby in shadow.standbys.items():
-                applied_epoch, _records = standby.applied_progress
+                applied[side] = standby.applied_progress
                 standby.promote()
-                manager = managers[side]
-                manager.attach()
-                if manager.epoch < applied_epoch:
-                    manager.epoch = applied_epoch
-            pair.resync()
-            session.state.checkpoint()
-            promoted.append(session)
+            shadow.session.pair.lifecycle.promote_shadow(applied)
+            promoted.append(shadow.session)
             self.stats["promotions"] += 1
             if METRICS.enabled:
                 METRICS.counter("cluster.shadow_promotions").inc()

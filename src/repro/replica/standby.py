@@ -148,10 +148,7 @@ class StandbyReplica:
         """
         self.state = "promoted"
         self.stats["promotions"] += 1
-        return {
-            name: structure.snapshot_state()
-            for name, structure in self.structures.items()
-        }
+        return self.image()
 
     def image(self) -> Dict[str, bytes]:
         """Current per-structure section images (divergence checks)."""

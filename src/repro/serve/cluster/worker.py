@@ -104,7 +104,7 @@ class ClusterWorker:
     def _arm_session(self, session) -> None:
         """Manager hook: a session was opened or adopted — ship it
         (unless its replica slot is already occupied)."""
-        if self._ship_sender is None or session.pair.replica is not None:
+        if self._ship_sender is None or session.pair.lifecycle.replica is not None:
             return
         SessionShipper(session, self._ship_send)
 
@@ -473,7 +473,7 @@ def _frame(channel: int, payload: bytes) -> bytes:
 def _shipper(session) -> Optional[SessionShipper]:
     """The buddy shipper in *session*'s replica slot, if that is what
     occupies it."""
-    replica = session.pair.replica
+    replica = session.pair.lifecycle.replica
     return replica if isinstance(replica, SessionShipper) else None
 
 

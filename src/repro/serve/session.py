@@ -4,10 +4,10 @@ A :class:`Session` is the *transport* half of one client: the bounded
 queue, the worker, the retransmit window, and the frame shipping with
 its per-session fault injectors. The *state* half — the
 :class:`~repro.core.encoder.CableLinkPair` with the byte-level
-checker armed (``verify=True``), durable epoch state
-(:class:`~repro.state.manager.EndpointStateManager` via
-``config.durability``), warm-standby replication and the failover
-path — lives in :class:`repro.serve.state.SessionState`, which each
+checker armed (``verify=True``) and its
+:class:`~repro.link.lifecycle.LinkLifecycle` (durable epoch state via
+``config.durability``, warm-standby replication and the failover
+path) — lives in :class:`repro.serve.state.SessionState`, which each
 session composes. The socket carries the *actual encoded frames*:
 every transfer's frame is encoded once, by the pair's
 :class:`~repro.link.recovery.ReliableLink`, and the session ships the
@@ -119,7 +119,7 @@ class ServeConfig:
     #: Per-session online knob tuning (repro.tune): each session runs
     #: its own wire-safe controller, adapting independently. Knob
     #: changes land only at epoch boundaries through
-    #: ``CableLinkPair.apply_config``, which flushes the replica slot
+    #: ``LinkLifecycle.apply_config``, which flushes the replica slot
     #: (in-process standby or buddy worker) before the change so
     #: standby journals never tear.
     tuning: Optional[TuningPlan] = None
@@ -310,7 +310,7 @@ class Session:
             self._ship_frame(index, pos, record)
         sent = len(capture)
         capture.clear()
-        replica = self.state.pair.replica
+        replica = self.state.pair.lifecycle.replica
         if replica is not None:
             # Shipper cadence (in-process standby or buddy worker alike)
             # + kill schedule, both keyed to the per-session access

@@ -2,9 +2,11 @@
 
 A :class:`SessionState` owns everything about one client's *link
 state*: the verified :class:`~repro.core.encoder.CableLinkPair`, its
-backing store, the durable epoch managers, the listener that captures
-each access's transfer records, warm-standby replication and the
-failover path. It knows nothing about sockets, queues, senders or
+backing store, the listener that captures each access's transfer
+records, the kill schedule and the per-session tuner. The durable
+epoch managers, warm-standby replication and the failover path belong
+to the pair's :class:`~repro.link.lifecycle.LinkLifecycle`, which this
+class drives. It knows nothing about sockets, queues, senders or
 retransmit windows — those live in
 :class:`repro.serve.session.Session`, which composes one of these.
 
@@ -106,14 +108,14 @@ class SessionState:
             plan = failover_plan.scaled(seed=failover_plan.seed ^ client_tag)
             self.failover_faults = FailoverInjector(plan)
         if replication is not None:
-            self.pair.arm_replication(
+            self.pair.lifecycle.arm_replication(
                 replication,
                 None if self.failover_faults is None else self.failover_faults.ship,
             )
         #: Per-session online knob controller (repro.tune). Wire-safe
         #: arms only — the client decodes with the format negotiated at
         #: OPEN, so engine/width knobs are off the table here. Knob
-        #: changes land through ``CableLinkPair.apply_config``, which
+        #: changes land through ``LinkLifecycle.apply_config``, which
         #: keeps the replica slot's journal epoch-consistent.
         self.tuner = None
         tuning = getattr(config, "tuning", None)
@@ -137,21 +139,17 @@ class SessionState:
     def progress(self) -> Tuple[int, int]:
         """The durable (epoch, records) the home endpoint has reached —
         what a well-behaved client should echo in its resume HELLO."""
-        return self.pair.home_state.expected_progress()
+        return self.pair.lifecycle.managers["home"].expected_progress()
 
     def resync_stale_resume(self) -> None:
         """The client's epoch disagreed with durable state: audit and
         repair both endpoints (§III-F), then re-baseline the managers
         so the granted epoch is trustworthy."""
-        self.pair.resync()
-        self.checkpoint()
+        lifecycle = self.pair.lifecycle
+        lifecycle.resync()
+        lifecycle.checkpoint()
         if METRICS.enabled:
             _CTR_RESYNCS.inc()
-
-    def checkpoint(self) -> None:
-        for manager in (self.pair.home_state, self.pair.remote_state):
-            if manager is not None:
-                manager.checkpoint()
 
     # ------------------------------------------------------------------
     # Adaptive tuning (repro.tune)
@@ -177,7 +175,7 @@ class SessionState:
 
     def kill_primary(self) -> bool:
         """Kill the primary and promote the standby; returns hot."""
-        outcome = self.pair.failover()
+        outcome = self.pair.lifecycle.failover()
         self.stats["kills"] += 1
         self.stats["lost_records"] += outcome.lost_records
         if outcome.hot:
@@ -192,7 +190,7 @@ class SessionState:
         """Kill/promotion counters plus the in-process standby's
         shipping counters (zero without one; a buddy worker's shipping
         is reported by the cluster worker)."""
-        replica = self.pair.replica
+        replica = self.pair.lifecycle.replica
         in_process = isinstance(replica, WarmStandby)
         rollup = dict(self.stats)
         for key in SHIPPER_STATS + ("batches_lost",):
@@ -207,10 +205,11 @@ class SessionState:
         """Settle link state for a checkpointed, auditable quiescence."""
         if self.tuner is not None:
             self.tuner.finish()
-        self.pair.drain_resync()
-        if self.pair.replica is not None:
-            self.pair.replica.pump(force=True)
-        self.checkpoint()
+        lifecycle = self.pair.lifecycle
+        lifecycle.drain_resync()
+        if lifecycle.replica is not None:
+            lifecycle.replica.pump(force=True)
+        lifecycle.checkpoint()
 
     def audit_ok(self) -> bool:
         from repro.core.sync import audit

@@ -409,12 +409,12 @@ class MemLinkSimulation:
                 tuner.on_access()
             if i in crash_at and self.cable is not None:
                 for side in crash_at[i]:
-                    self.cable.crash_endpoint(side)
+                    self.cable.lifecycle.crash_endpoint(side)
         if tuner is not None:
             tuner.finish()
             self.result.tuning = tuner.rollup()
         if self.cable is not None:
-            self.cable.drain_resync()
+            self.cable.lifecycle.drain_resync()
         self._finish()
         return self.result
 

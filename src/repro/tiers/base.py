@@ -185,7 +185,7 @@ class LinkLeg:
     def finish(self) -> None:
         """End-of-run hook: drain any cable resync backlog."""
         if self.cable is not None:
-            self.cable.drain_resync()
+            self.cable.lifecycle.drain_resync()
 
 
 def percentile(sorted_values: List[float], fraction: float) -> float:

@@ -4,7 +4,8 @@ The controller counts host accesses (``on_access``), waits out a
 warmup, then runs back-to-back *epochs*: at each boundary it settles
 the held arm's reward from the deltas of the pair's existing traffic
 counters and asks the policy for the next arm. Knobs only ever change
-at these boundaries, through :meth:`CableLinkPair.apply_config`, which
+at these boundaries, through the pair's
+:meth:`~repro.link.lifecycle.LinkLifecycle.apply_config`, which
 flushes and (after a reshape) reseeds the pair's replica slot — that
 is what keeps replication journals and failover snapshots consistent;
 mid-epoch the configuration is immutable.
@@ -129,7 +130,7 @@ class KnobController:
     def _apply(self, index: int) -> None:
         arm = self.arms[index]
         target = self._base_config.with_overrides(**arm.config_overrides())
-        self.pair.apply_config(target)
+        self.pair.lifecycle.apply_config(target)
         self.pair.enabled = self._base_enabled and arm.enabled
         if self.current_index is not None:
             self.switches += 1
@@ -201,7 +202,7 @@ class KnobController:
         assert self.current_index is not None
         arm = self.arms[self.current_index]
         target = self._base_config.with_overrides(**arm.config_overrides())
-        self.pair.apply_config(target)
+        self.pair.lifecycle.apply_config(target)
         self.pair.enabled = self._base_enabled and arm.enabled
         self._epoch_start = self.accesses
         self._baseline = self._counters()

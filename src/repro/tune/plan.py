@@ -10,7 +10,7 @@ seed. Everything here is plain data: the policies live in
 :mod:`repro.tune.controller`.
 
 Arms are applied mid-run through
-:meth:`repro.core.encoder.CableLinkPair.apply_config`, so only knobs
+:meth:`repro.link.lifecycle.LinkLifecycle.apply_config`, so only knobs
 that method can change at runtime are legal overrides. ``enabled`` is
 special-cased: it is the §VI-D on/off switch (a ``CableLinkPair``
 attribute, not a :class:`~repro.core.config.CableConfig` field).
@@ -29,16 +29,16 @@ from typing import Any, Dict, Tuple
 WIRE_AFFECTING = frozenset({"engine", "remotelid_bits", "line_bytes"})
 
 #: Knobs that re-shape the signature hash tables. The reshape is a
-#: journal-bypassing bulk mutation after which the pair reseeds its
-#: replica slot: an in-process standby reseeds cleanly, but a
-#: *cross-process* shadow rebuilds its mirror from a base-shaped
+#: journal-bypassing bulk mutation after which the pair's lifecycle
+#: reseeds its replica slot: an in-process standby reseeds cleanly,
+#: but a *cross-process* shadow rebuilds its mirror from a base-shaped
 #: snapshot it cannot reshape, so cluster workers drop these arms
 #: (see :attr:`KnobArm.reshape_free`).
 GEOMETRY_KNOBS = frozenset({"hash_table_scale", "hash_bucket_entries"})
 
 #: Knobs an arm may override: ``enabled`` plus the CableConfig fields
-#: :meth:`CableLinkPair.apply_config` accepts at runtime. This is the
-#: only list: ``CableLinkPair`` derives its runtime set from it.
+#: :meth:`LinkLifecycle.apply_config` accepts at runtime. This is the
+#: only list: ``LinkLifecycle`` derives its runtime set from it.
 TUNABLE_KNOBS = frozenset(
     {
         "enabled",

@@ -245,10 +245,14 @@ class TestShipperHostFlow:
         drive(session, 24)
         pair = session.pair
         progress = {
-            "home": pair.home_state.expected_progress(),
-            "remote": pair.remote_state.expected_progress(),
+            side: manager.expected_progress()
+            for side, manager in pair.lifecycle.managers.items()
         }
-        pair.apply_knobs(data_access_count=pair.config.data_access_count + 1)
+        pair.lifecycle.apply_config(
+            pair.config.with_overrides(
+                data_access_count=pair.config.data_access_count + 1
+            )
+        )
         for side, standby in host.shadows[0x51].standbys.items():
             assert standby.applied_progress == progress[side]
 

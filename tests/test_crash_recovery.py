@@ -48,7 +48,7 @@ def warm(link, accesses=300, writes=True, seed=0):
 class TestCrashPaths:
     def test_home_crash_replays_journal(self):
         link = warm(make_link())
-        path = link.crash_endpoint("home")
+        path = link.lifecycle.crash_endpoint("home")
         assert path == "replay"
         assert link.health["journal_replays"] == 1
         assert link.health["replay_traffic_bits"] > 0
@@ -56,32 +56,32 @@ class TestCrashPaths:
 
     def test_remote_crash_replays_journal(self):
         link = warm(make_link())
-        path = link.crash_endpoint("remote")
+        path = link.lifecycle.crash_endpoint("remote")
         assert path == "replay"
         assert audit(link).ok
 
     def test_torn_snapshot_detected_and_survived(self):
         link = warm(make_link())
-        path = link.crash_endpoint(
+        path = link.lifecycle.crash_endpoint(
             "home", sabotage=("snapshot",), sabotage_rng=random.Random(1)
         )
         assert link.health["snapshot_corruptions_detected"] >= 1
-        link.drain_resync()
+        link.lifecycle.drain_resync()
         assert audit(link).ok
         assert link.health["silent_corruptions"] == 0
         assert path in ("replay", "rebuild")
 
     def test_poisoned_journal_degrades_to_rebuild(self):
         link = warm(make_link())
-        path = link.crash_endpoint("home", sabotage=("journal_poison",))
+        path = link.lifecycle.crash_endpoint("home", sabotage=("journal_poison",))
         assert path == "rebuild"
         assert link.health["full_rebuilds"] == 1
-        link.drain_resync()
+        link.lifecycle.drain_resync()
         assert audit(link).ok
 
     def test_lost_journal_tail_degrades_to_rebuild(self):
         link = warm(make_link())
-        path = link.crash_endpoint(
+        path = link.lifecycle.crash_endpoint(
             "remote", sabotage=("journal_tail",), sabotage_rng=random.Random(2)
         )
         assert path == "rebuild"
@@ -89,24 +89,24 @@ class TestCrashPaths:
 
     def test_no_durability_is_ground_truth(self):
         link = warm(make_link(durability=None))
-        path = link.crash_endpoint("home")
+        path = link.lifecycle.crash_endpoint("home")
         assert path == "ground-truth"
         assert link.health["rebuild_traffic_bits"] > 0
         assert audit(link).ok
 
     def test_rebuild_interleaves_with_live_traffic(self):
         link = warm(make_link())
-        link.crash_endpoint("home", sabotage=("journal_poison",))
-        assert link._resync_session is not None
+        link.lifecycle.crash_endpoint("home", sabotage=("journal_poison",))
+        assert link.lifecycle.rebuild is not None
         warm(link, accesses=400, seed=3)  # live accesses step the resync
-        assert link._resync_session is None
+        assert link.lifecycle.rebuild is None
         assert audit(link).ok
 
     def test_replay_cheaper_than_rebuild(self):
         replay_link = warm(make_link())
-        replay_link.crash_endpoint("home")
+        replay_link.lifecycle.crash_endpoint("home")
         rebuild_link = warm(make_link(durability=None))
-        rebuild_link.crash_endpoint("home")
+        rebuild_link.lifecycle.crash_endpoint("home")
         assert (
             replay_link.health["resync_traffic_bits"]
             < rebuild_link.health["resync_traffic_bits"]
@@ -114,9 +114,9 @@ class TestCrashPaths:
 
     def test_handshake_charged_per_crash(self):
         link = warm(make_link())
-        link.crash_endpoint("home")
+        link.lifecycle.crash_endpoint("home")
         per_crash = link.health["handshake_bits"]
-        link.crash_endpoint("remote")
+        link.lifecycle.crash_endpoint("remote")
         assert link.health["handshake_bits"] == 2 * per_crash
 
     def test_crash_requires_recovery_layer(self):
@@ -138,16 +138,16 @@ class TestCrashPaths:
         link = CableLinkPair(CableConfig(), pair)
         assert link.recovery_layer is None
         with pytest.raises(RuntimeError):
-            link.crash_endpoint("home")
+            link.lifecycle.crash_endpoint("home")
 
     def test_unknown_side_rejected(self):
         link = make_link()
         with pytest.raises(ValueError):
-            link.crash_endpoint("sideways")
+            link.lifecycle.crash_endpoint("sideways")
 
     def test_writes_after_recovery_are_verified(self):
         link = warm(make_link())
-        link.crash_endpoint("home", sabotage=("journal_poison",))
+        link.lifecycle.crash_endpoint("home", sabotage=("journal_poison",))
         warm(link, accesses=500, seed=4)  # verify=True would raise on escape
         assert link.health["silent_corruptions"] == 0
 
@@ -245,14 +245,14 @@ class TestAuditRepairs:
 
     def test_resync_checkpoints_after_repairs(self):
         link = warm(make_link())
-        epoch_before = link.home_state.epoch
+        epoch_before = link.lifecycle.managers["home"].epoch
         wmt = link.home_encoder.wmt
         for index, row in enumerate(wmt._entries):
             for way in range(len(row)):
                 row[way] = None  # wreck the WMT → audit must repair
-        report = link.resync()
+        report = link.lifecycle.resync()
         assert report.repairs > 0
-        assert link.home_state.epoch > epoch_before
+        assert link.lifecycle.managers["home"].epoch > epoch_before
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestInFlightEvictionRecovery:
         rng = random.Random(14)
         for i in range(400):
             link.access(rng.randrange(300))
-        report = link.resync()
+        report = link.lifecycle.resync()
         assert report.repairs > 0
         assert audit(link).ok
 

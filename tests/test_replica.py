@@ -395,7 +395,7 @@ def make_replicated_link(recovery=None, ship_fault=None, **replication):
     link = build_campaign_link(
         FaultPlan(), recovery or RecoveryPolicy(), config, seed=11
     )
-    link.arm_replication(
+    link.lifecycle.arm_replication(
         ReplicationPolicy(**replication) if replication else None, ship_fault
     )
     return link
@@ -423,26 +423,26 @@ class TestLinkFailover:
         config = CableConfig().with_overrides(durability=DurabilityPolicy())
         link = build_campaign_link(FaultPlan(), RecoveryPolicy(), config)
         with pytest.raises(RuntimeError):
-            link.failover()
+            link.lifecycle.failover()
 
     def test_replication_requires_durability(self):
         link = build_campaign_link(FaultPlan(), RecoveryPolicy())
         with pytest.raises(RuntimeError):
-            link.arm_replication()
+            link.lifecycle.arm_replication()
 
     def test_hot_failover_after_full_pump(self):
         link = make_replicated_link()
         warm(link)
-        link.replica.pump(force=True)
-        epoch_before = link.home_state.expected_progress()[0]
-        outcome = link.failover()
+        link.lifecycle.replica.pump(force=True)
+        epoch_before = link.lifecycle.managers["home"].expected_progress()[0]
+        outcome = link.lifecycle.failover()
         assert outcome.hot
         assert outcome.lost_records == 0
         assert link.health["hot_promotions"] == 1
         assert link.health["failovers"] == 1
         # Promotion bumps the epoch: live sessions observe it and stale
         # resumes get redirected through resync-before-grant.
-        assert link.home_state.expected_progress()[0] > epoch_before
+        assert link.lifecycle.managers["home"].expected_progress()[0] > epoch_before
         assert audit(link).ok
         # The link keeps serving verified traffic on the promoted image.
         warm(link, accesses=80, seed=1)
@@ -454,8 +454,8 @@ class TestLinkFailover:
         warm(link)
         # The huge lag bound kept everything in the backlog: this kill
         # loses records and the promotion must be adjudicated warm.
-        assert any(s.pending for s in link.replica.shippers.values())
-        outcome = link.failover()
+        assert any(s.pending for s in link.lifecycle.replica.shippers.values())
+        outcome = link.lifecycle.failover()
         assert not outcome.hot
         assert outcome.lost_records > 0
         assert link.health["warm_promotions"] == 1
@@ -470,15 +470,15 @@ class TestLinkFailover:
     def test_replicators_reseed_after_failover(self):
         link = make_replicated_link()
         warm(link, accesses=120)
-        link.failover()
+        link.lifecycle.failover()
         # Exactly one reseed per failover, warm or hot.
-        assert link.replica.stats["reseeds"] == 1
-        assert all(s.clean for s in link.replica.standbys.values())
+        assert link.lifecycle.replica.stats["reseeds"] == 1
+        assert all(s.clean for s in link.lifecycle.replica.standbys.values())
         # Old primary rejoined as standby: a second failover works too.
         warm(link, accesses=80, seed=3)
-        link.replica.pump(force=True)
-        assert link.failover().hot
-        assert link.replica.stats["reseeds"] == 2
+        link.lifecycle.replica.pump(force=True)
+        assert link.lifecycle.failover().hot
+        assert link.lifecycle.replica.stats["reseeds"] == 2
         assert link.health["failovers"] == 2
         assert audit(link).ok
 
@@ -489,7 +489,7 @@ class TestLinkFailover:
         # pre-repair image.
         link = make_replicated_link()
         warm(link)
-        link.replica.pump(force=True)
+        link.lifecycle.replica.pump(force=True)
         wmt = link.home_encoder.wmt
         tracked = next(
             remote_lid
@@ -497,10 +497,10 @@ class TestLinkFailover:
             if wmt.home_lid_for(remote_lid) is not None
         )
         wmt.invalidate_remote(tracked)  # journaled damage
-        assert link.resync().repairs == 1
+        assert link.lifecycle.resync().repairs == 1
         warm(link, 60, seed=5)
-        link.replica.pump(force=True)
-        link.failover()
+        link.lifecycle.replica.pump(force=True)
+        link.lifecycle.failover()
         assert audit(link).ok
 
     def test_breaker_trip_promotes_standby(self):
@@ -512,7 +512,9 @@ class TestLinkFailover:
         link = build_campaign_link(
             FaultPlan.uniform(0.35, seed=5), recovery, config, seed=11
         )
-        link.arm_replication(ReplicationPolicy(batch_records=4, max_lag_records=8))
+        link.lifecycle.arm_replication(
+            ReplicationPolicy(batch_records=4, max_lag_records=8)
+        )
         warm(link, accesses=400, seed=4)
         assert link.health["breaker_trips"] >= 1
         assert link.health["failovers"] >= 1
@@ -520,6 +522,57 @@ class TestLinkFailover:
             link.health["hot_promotions"] + link.health["warm_promotions"]
             == link.health["failovers"]
         )
-        link.drain_resync()
+        link.lifecycle.drain_resync()
         assert audit(link).ok
         assert link.health["silent_corruptions"] == 0
+
+
+def journaled_sections(image):
+    """The journaled sections of a per-structure image (the breaker is
+    snapshot-only statistics, free to differ)."""
+    return {
+        name: section
+        for name, section in image.items()
+        if name in EndpointStateManager.JOURNALED
+    }
+
+
+@pytest.mark.parametrize(
+    "kill, sabotage",
+    [
+        (side, sabotage)
+        for side in ("home", "remote")
+        for sabotage in (None, "journal_poison", "journal_tail")
+    ]
+    + [("failover", None)],
+    ids=lambda value: value or "clean",
+)
+def test_restore_leaves_no_stale_standby(kill, sabotage):
+    # Crash restart and failover share one restore step. (b) A replay
+    # restart or hot promotion restores the pre-kill image byte for
+    # byte. (a) Every other restore bypasses the journal, so the slot
+    # must be reseeded before the next transfer: a standby that still
+    # claims the primary's progress must hold the primary's image.
+    link = make_replicated_link()
+    warm(link)
+    lifecycle = link.lifecycle
+    lifecycle.replica.pump(force=True)
+    managers = lifecycle.managers
+    before = {side: journaled_sections(images(m)) for side, m in managers.items()}
+    if kill == "failover":
+        assert lifecycle.failover().hot
+        replayed = tuple(managers)
+    else:
+        path = lifecycle.crash_endpoint(kill, sabotage=(sabotage,) if sabotage else ())
+        assert path == ("rebuild" if sabotage else "replay")
+        replayed = () if sabotage else (kill,)
+    for side in replayed:
+        assert journaled_sections(images(managers[side])) == before[side]
+    warm(link, accesses=3, seed=7)
+    lifecycle.replica.pump(force=True)
+    for side, manager in managers.items():
+        standby = lifecycle.replica.standbys[side]
+        if standby.clean and standby.applied_progress == manager.expected_progress():
+            assert journaled_sections(standby.image()) == journaled_sections(
+                images(manager)
+            ), side

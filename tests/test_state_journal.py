@@ -330,8 +330,8 @@ class TestShippedJournalRobustness:
             session, channel, ReplicationPolicy(batch_records=4, max_lag_records=4)
         )
         managers = {
-            "home": session.pair.home_state,
-            "remote": session.pair.remote_state,
+            "home": session.pair.lifecycle.managers["home"],
+            "remote": session.pair.lifecycle.managers["remote"],
         }
         standbys = host.shadows[0x51].standbys
 
