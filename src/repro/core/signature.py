@@ -18,7 +18,9 @@ Both extraction entry points are memoized per line contents: the same
 immutable line is indexed on fill, searched on encode, and re-hashed on
 every invalidation, so the per-line work is paid once. The caches are
 per-extractor (they depend on the hash seed, the offsets and the
-trivial threshold) and LRU-bounded.
+trivial threshold) and bounded first-in, first-out: when a memo holds
+``_SIGNATURE_CACHE_SIZE`` (8,192) lines, the oldest-inserted half is
+dropped, and a hit never refreshes an entry.
 """
 
 from __future__ import annotations
@@ -212,16 +214,18 @@ class SignatureExtractor:
         return tuple(signatures)
 
     # ------------------------------------------------------------------
-    # Look-ahead warm (whole blocks of lines at once)
+    # Block warm (whole blocks of lines at once)
     # ------------------------------------------------------------------
 
     def warm_batch(self, lines: Sequence[bytes]) -> int:
         """Precompute index- and search-time memo entries for *lines*.
 
-        The look-ahead prefetch of the batch feeds: extraction is pure
-        per-line work (no encoder state involved), so it can be paid in
-        one vectorized pass before the scalar pipeline consumes the
-        lines. Returns how many distinct lines were newly extracted.
+        The serve worker's block warm (``ServeConfig.drain_block``)
+        calls this with the write payloads of a drained block:
+        extraction is pure per-line work (no encoder state involved),
+        so it can be paid in one vectorized pass before the scalar
+        pipeline consumes the lines. Returns how many distinct lines
+        were newly extracted.
         """
         fresh = [
             line

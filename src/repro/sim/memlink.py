@@ -22,7 +22,6 @@ the event counts the timing/energy models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
@@ -105,13 +104,6 @@ class MemLinkConfig:
     #: right after the given access. Requires a recovery layer (set
     #: ``durability`` or ``faults``/``recovery``).
     crash_points: Tuple[Tuple[int, str], ...] = ()
-    #: Look-ahead window (accesses) for the batched signature-
-    #: extraction warm (cable scheme only): upcoming lines are peeked
-    #: and run through :meth:`SignatureExtractor.warm_batch` in one
-    #: vectorized pass before the access loop consumes them. Purely a
-    #: throughput knob — extraction is a pure function of line bytes,
-    #: so results are byte-identical with it on, off (≤1), or resized.
-    batch_lines: int = 64
     #: Online adaptive knob tuning (cable scheme only): a
     #: :class:`repro.tune.plan.TuningPlan` arms a per-benchmark
     #: :class:`~repro.tune.controller.KnobController` when counting
@@ -386,8 +378,6 @@ class MemLinkSimulation:
         for index, side in config.crash_points:
             crash_at.setdefault(index, []).append(side)
         accesses = self.workload.accesses(config.accesses)
-        if self.cable is not None and config.batch_lines > 1:
-            accesses = self._lookahead_blocks(accesses, config.batch_lines)
         tuner: Optional[KnobController] = None
         for i, access in enumerate(accesses):
             if i == warmup:
@@ -417,34 +407,6 @@ class MemLinkSimulation:
             self.cable.lifecycle.drain_resync()
         self._finish()
         return self.result
-
-    def _lookahead_blocks(self, accesses, block: int):
-        """Yield accesses unchanged, batch-warming extraction ahead.
-
-        For each upcoming block the *likely* link contents are
-        prefetched through the extractor memo in one vectorized pass:
-        a write access's post-write line (indexed at the home side
-        later) and, for reads, the backing copy of the line (what a
-        fill carries unless a dirtier home copy exists). The warm is a
-        pure memoization — a mispredicted line wastes a memo slot but
-        can never change a payload, because extraction depends only on
-        the line bytes, not on encoder state.
-        """
-        extractor = self.cable.home_encoder.extractor
-        peek = self.backing.peek
-        while True:
-            chunk = list(islice(accesses, block))
-            if not chunk:
-                return
-            extractor.warm_batch(
-                [
-                    access.write_data
-                    if access.write_data is not None
-                    else peek(access.line_addr)
-                    for access in chunk
-                ]
-            )
-            yield from chunk
 
     def _start_counting(self) -> None:
         self._counting = True

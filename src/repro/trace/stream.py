@@ -208,9 +208,9 @@ class SharedBackingStore:
     def peek(self, line_addr: int) -> bytes:
         """:meth:`read` without the stats bump.
 
-        The memory-link simulation's look-ahead warm peeks upcoming
-        lines to prefetch signature extraction; it must not perturb the
-        backing-store accounting the benchmarks report."""
+        For checks that must not perturb the backing-store accounting
+        the benchmarks report, such as the capacity tier's write-back
+        verify (:mod:`repro.tiers.capacity`)."""
         cached = self._data.get(line_addr)
         if cached is not None:
             return cached

@@ -250,10 +250,11 @@ count_toggles = (
 # ----------------------------------------------------------------------
 #
 # The per-line kernels above took the arithmetic off the profile; what
-# remains is per-line Python dispatch. The signature look-ahead warm
-# (``SignatureExtractor.warm_batch``) amortizes it across a *block* of
-# lines whose bytes are already known: one contiguous word matrix and
-# one vectorized trivial-mask pass (:class:`BatchLines`), hashed in one
+# remains is per-line Python dispatch. The serve worker's block warm
+# (``ServeConfig.drain_block`` → ``SignatureExtractor.warm_batch``)
+# amortizes it across a *block* of queued write payloads whose bytes
+# are already known: one contiguous word matrix and one vectorized
+# trivial-mask pass (:class:`BatchLines`), hashed in one
 # ``H3Hash.hash_matrix`` call. ``BatchLines`` takes an optional
 # ``backend`` ("numpy" or "pure") so tests can pin either leg
 # in-process; the default follows the import-time selection (and hence

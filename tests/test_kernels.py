@@ -254,9 +254,10 @@ def test_h3_is_linear_over_xor():
 # Memoized signature extraction
 # ----------------------------------------------------------------------
 
-#: Look-ahead blocks for ``warm_batch``: equal-length blocks take its
-#: vectorized leg (BatchLines + ``H3Hash.hash_matrix``); appending one
-#: longer line forces the per-line scalar fallback.
+#: Blocks for ``warm_batch`` (the serve worker's block warm):
+#: equal-length blocks take its vectorized leg (BatchLines +
+#: ``H3Hash.hash_matrix``); appending one longer line forces the
+#: per-line scalar fallback.
 equal_blocks = st.integers(min_value=1, max_value=130).flatmap(
     lambda words: st.lists(
         st.binary(min_size=words * 4, max_size=words * 4),
@@ -291,7 +292,7 @@ def test_memoized_extraction_matches_fresh(lines, config):
     for line in lines:
         index = fresh.index_signatures(line)
         search = fresh.search_signatures(line)
-        # Both memo entries the look-ahead wrote...
+        # Both memo entries the block warm wrote...
         assert warm._index_memo[line] == tuple(index)
         assert warm._search_memo[line] == tuple(search)
         # ...and the ones the scalar extractors memoize on first use.

@@ -109,33 +109,34 @@ class TestSuiteRunner:
         assert result.transfers > 0
 
 
-def test_memlink_batch_warm_is_byte_identical():
-    """The simulation's look-ahead warm changes throughput only."""
-    from repro.sim.memlink import MemLinkConfig, run_memlink
+def test_sim_reads_backing_once_per_l4_miss(monkeypatch):
+    """Signatures are extracted from the lines crossing the link, at
+    transfer time: the simulator touches backing memory only for the
+    fills an L4 miss makes, and warms no block of lines ahead."""
+    from repro.core.signature import SignatureExtractor
+    from repro.trace.stream import SharedBackingStore
 
-    def run(batch_lines: int):
-        result = run_memlink(
-            "omnetpp",
-            MemLinkConfig(
-                accesses=2000,
-                llc_bytes=32 * 1024,
-                l4_bytes=128 * 1024,
-                ws_scale=0.03125,
-                batch_lines=batch_lines,
-            ),
-        )
-        return (
-            result.accesses,
-            result.raw_bits,
-            result.payload_bits,
-            result.flits,
-            result.search_data_reads,
-            result.encodes,
-            result.with_references,
-            result.reference_count,
-            tuple(result.per_transfer_bits),
-        )
+    calls = {"peek": 0, "warm_batch": 0}
+    peek = SharedBackingStore.peek
+    warm_batch = SignatureExtractor.warm_batch
 
-    baseline = run(0)
-    assert run(64) == baseline
-    assert run(5) == baseline
+    def counting_peek(self, line_addr):
+        calls["peek"] += 1
+        return peek(self, line_addr)
+
+    def counting_warm_batch(self, lines):
+        calls["warm_batch"] += 1
+        return warm_batch(self, lines)
+
+    monkeypatch.setattr(SharedBackingStore, "peek", counting_peek)
+    monkeypatch.setattr(SignatureExtractor, "warm_batch", counting_warm_batch)
+    sim = MemLinkSimulation(
+        "omnetpp",
+        MemLinkConfig(
+            accesses=2000, llc_bytes=32 * 1024, l4_bytes=128 * 1024, ws_scale=0.03125
+        ),
+    )
+    sim.run()
+    assert sim.pair.stats["home_misses"] > 0
+    assert calls["peek"] == sim.backing.stats["reads"] == sim.pair.stats["home_misses"]
+    assert calls["warm_batch"] == 0
