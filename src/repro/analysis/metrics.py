@@ -37,66 +37,10 @@ def percent_better(new: float, old: float) -> float:
     return 100.0 * (new / old - 1.0)
 
 
-def cap(value: float, ceiling: float) -> float:
-    return min(value, ceiling)
-
-
 def speedup_percent(speedup: float) -> float:
     """378% throughput increase ⇔ 4.78× — the paper uses both forms;
     this converts a multiplier to the percent-increase form."""
     return 100.0 * (speedup - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Link-health summaries (fault injection & recovery, repro.link.recovery)
-# ---------------------------------------------------------------------------
-
-
-def health_failure_rate(health: Dict[str, int]) -> float:
-    """Fraction of transfers that needed any recovery action."""
-    transfers = health.get("transfers", 0)
-    if not transfers:
-        return 0.0
-    return health.get("nacks", 0) / transfers
-
-
-def health_overhead_ratio(health: Dict[str, int], payload_bits: int) -> float:
-    """Recovery bits (framing + retransmissions) per payload bit."""
-    if payload_bits <= 0:
-        return 0.0
-    return health.get("overhead_bits", 0) / payload_bits
-
-
-def health_delivery_rate(health: Dict[str, int]) -> float:
-    """Fraction of attempted transfers that ultimately delivered."""
-    transfers = health.get("transfers", 0)
-    if not transfers:
-        return 1.0
-    return health.get("deliveries", 0) / transfers
-
-
-def summarize_health(health: Dict[str, int], payload_bits: int = 0) -> Dict[str, float]:
-    """The resilience sweep's row: counters plus derived rates."""
-    summary: Dict[str, float] = {
-        key: float(health.get(key, 0))
-        for key in (
-            "transfers",
-            "deliveries",
-            "faults_injected",
-            "crc_failures",
-            "nacks",
-            "retries",
-            "raw_fallbacks",
-            "breaker_trips",
-            "breaker_recoveries",
-            "resyncs",
-            "silent_corruptions",
-        )
-    }
-    summary["failure_rate"] = health_failure_rate(health)
-    summary["delivery_rate"] = health_delivery_rate(health)
-    summary["overhead_ratio"] = health_overhead_ratio(health, payload_bits)
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.util.kernels import DATACLASS_SLOTS
 
@@ -103,14 +103,3 @@ class ReferenceCompressor(Compressor):
         self, block: CompressedBlock, references: Sequence[bytes]
     ) -> bytes:
         """Inverse of :meth:`compress_with_references`."""
-
-
-def best_block(candidates: List[CompressedBlock]) -> CompressedBlock:
-    """Pick the smallest candidate; ties go to the earliest entry."""
-    if not candidates:
-        raise ValueError("no candidate blocks")
-    best = candidates[0]
-    for block in candidates[1:]:
-        if block.size_bits < best.size_bits:
-            best = block
-    return best

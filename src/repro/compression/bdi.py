@@ -141,8 +141,3 @@ class BdiCompressor(Compressor):
             + len(values) * delta_size * 8
         )
         return _Candidate(layout, base, tuple(mask), tuple(deltas), size_bits)
-
-    def decompress_layout(self, layout: str) -> Tuple[int, int]:
-        """Expose (base, delta) byte sizes of a named layout (for tests)."""
-        __, base_size, delta_size = next(l for l in _LAYOUTS if l[0] == layout)
-        return base_size, delta_size

@@ -49,11 +49,6 @@ _ZZZX = "zzzx"
 _MMMX = "mmmx"
 
 
-def _prefix_bytes(word: int) -> Tuple[int, int, int, int]:
-    """The word as four bytes in line order (little-endian memory order)."""
-    return (word & 0xFF, (word >> 8) & 0xFF, (word >> 16) & 0xFF, word >> 24)
-
-
 def _match_bytes(a: int, b: int) -> int:
     """Number of matching *high-order* bytes between two words.
 

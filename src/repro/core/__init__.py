@@ -11,6 +11,8 @@ The pieces map one-to-one onto the paper's architecture section:
 - :mod:`repro.core.sync` — §III-F synchronization.
 - :mod:`repro.core.evictbuf` — §IV-A eviction buffer & EvictSeq.
 - :mod:`repro.core.noninclusive` — §IV-C non-inclusive extension.
+- :mod:`repro.core.pipeline` — §IV-D search-pipeline latency model,
+  the source of CABLE's Table IV compress/decompress cycles.
 """
 
 from repro.core.config import CableConfig
@@ -23,7 +25,6 @@ from repro.core.encoder import CableHomeEncoder, CableRemoteDecoder, CableLinkPa
 from repro.core.evictbuf import EvictionBuffer
 from repro.core.noninclusive import NonInclusivePair, NonInclusiveCableLink
 from repro.core.pipeline import SearchPipelineModel, end_to_end_cycles
-from repro.core.superwmt import SuperWmt, PooledWmtView
 
 __all__ = [
     "CableConfig",
@@ -43,6 +44,4 @@ __all__ = [
     "NonInclusiveCableLink",
     "SearchPipelineModel",
     "end_to_end_cycles",
-    "SuperWmt",
-    "PooledWmtView",
 ]

@@ -2,8 +2,9 @@
 
 The defaults reproduce the paper's baseline: two signatures indexed per
 line, hash buckets of two LineIDs, six data-array accesses after
-pre-ranking, up to three references per DIFF, a 16× no-reference
-shortcut threshold, and the Table IV compression latencies.
+pre-ranking, up to three references per DIFF, and a 16× no-reference
+shortcut threshold. The Table IV compression latencies are derived
+from this geometry by :func:`repro.core.pipeline.end_to_end_cycles`.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class CableConfig:
     #: case per Table III.
     remotelid_bits: int = 17
 
-    # --- latencies in cycles (Table IV / §IV-D) ------------------------
-    search_latency: int = 16
-    compress_latency: int = 32  # includes search: paper's comp number
-    decompress_latency: int = 16
-
     # --- race handling (§IV-A) -----------------------------------------
     eviction_buffer_entries: int = 16
     #: What a full eviction buffer does with the next record:
@@ -124,11 +120,6 @@ class CableConfig:
     def max_signatures(self) -> int:
         """Up to one signature per word can be extracted when searching."""
         return self.words_per_line
-
-    @property
-    def end_to_end_latency(self) -> int:
-        """Worst-case encode+decode latency in cycles (Table IV: 48)."""
-        return self.compress_latency + self.decompress_latency
 
     def with_overrides(self, **kwargs) -> "CableConfig":
         """A copy with selected fields replaced (sweeps/ablations)."""

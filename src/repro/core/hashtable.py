@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.setassoc import LineId
 from repro.core.errors import SnapshotCorruptionError
-from repro.obs.registry import METRICS, MetricsRegistry
+from repro.obs.registry import METRICS
 
 # Pre-bound registry mirrors. Lookups (≤16 per search) are left
 # unmirrored on purpose — the search pipeline publishes probe counts in
@@ -165,17 +165,6 @@ class SignatureHashTable:
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self._buckets.values())
-
-    def publish_stats(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "hashtable",
-    ) -> None:
-        """Mirror the stats dict and occupancy into registry gauges."""
-        reg = registry if registry is not None else METRICS
-        for name, value in self.stats.items():
-            reg.gauge(f"{prefix}.{name}").set(value)
-        reg.gauge(f"{prefix}.occupancy").set(self.occupancy())
 
     def __contains__(self, signature: int) -> bool:
         bucket = self._buckets.get(self._slot(signature))

@@ -79,10 +79,6 @@ class Payload:
     def compression_ratio(self) -> float:
         return (self.line_bytes * 8) / self.size_bits
 
-    @property
-    def uses_references(self) -> bool:
-        return self.kind is PayloadKind.WITH_REFERENCES
-
 
 def choose_payload(
     line_addr: int,

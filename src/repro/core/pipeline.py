@@ -8,8 +8,10 @@ table's read ports: 2-way banking checks two signatures per cycle, so
 16 signatures drain in 8 issue cycles and the last one completes at
 cycle 16. A zero-heavy line with few signatures finishes in as little
 as 8 cycles. This module reproduces that arithmetic for arbitrary
-configurations and drives it with real extraction counts, validating
-the worst-case number Table IV charges CABLE for.
+configurations and drives it with real extraction counts. Its
+worst-case budget is the only source of CABLE's latency:
+:data:`repro.sim.timing.COMPRESSION_LATENCIES` and Table IV read
+:func:`end_to_end_cycles`.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class SearchPipelineModel:
     def worst_case_cycles(self, config: CableConfig) -> int:
         """The Table IV charge: every word yields a signature."""
         return self.search_cycles(config.max_signatures)
-
-    def best_case_cycles(self) -> int:
-        return self.search_cycles(1)
 
     def measured_cycles(self, extractor: SignatureExtractor, line: bytes) -> int:
         """Search latency for a concrete line's actual signatures."""

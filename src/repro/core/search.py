@@ -60,10 +60,6 @@ class SearchResult:
     def coverage(self) -> int:
         return popcount32(self.combined_cbv)
 
-    @property
-    def reference_data(self) -> List[bytes]:
-        return [ref.data for ref in self.references]
-
 
 def coverage_bit_vector(requested: Sequence[int], candidate: Sequence[int]) -> int:
     """CBV: bit *i* set when the i-th 32-bit words match exactly."""

@@ -87,14 +87,6 @@ class LinkStats:
         self.flits += self.link.flits_for(overhead_bits)
 
     @property
-    def goodput_ratio(self) -> float:
-        """Fraction of transmitted bits that were payload."""
-        total = self.payload_bits + self.overhead_bits
-        if total == 0:
-            return 1.0
-        return self.payload_bits / total
-
-    @property
     def wire_bits(self) -> int:
         return self.flits * self.link.width_bits
 

@@ -1,13 +1,9 @@
-"""DRAM substrate: DDR3 timing and the FCFS memory controller
-behind the L4 buffer (Table IV)."""
+"""DRAM substrate: DDR3 device timing behind the L4 buffer (Table IV).
 
-from repro.memory.dram import Ddr3Timing, DramBank, DramChannel
-from repro.memory.controller import FcfsController, MemoryRequest
+:meth:`repro.sim.timing.TimingModel.with_ddr3` derives its DRAM latency
+from :class:`Ddr3Timing`.
+"""
 
-__all__ = [
-    "Ddr3Timing",
-    "DramBank",
-    "DramChannel",
-    "FcfsController",
-    "MemoryRequest",
-]
+from repro.memory.dram import Ddr3Timing
+
+__all__ = ["Ddr3Timing"]

@@ -14,12 +14,15 @@ So an unloaded closed-page read returns data after
 ``tRCD + CL + BL/2`` = 22 clocks = 27.5ns, and a bank can start its
 next activate ``tRCD + CL + BL/2 + tRP`` after the previous one —
 the service interval that bank conflicts serialize on.
+
+The simulator charges DRAM a fixed latency rather than modelling banks
+or a controller queue: :meth:`repro.sim.timing.TimingModel.with_ddr3`
+turns :attr:`Ddr3Timing.access_ns` into core cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class Ddr3Timing:
     cl: int = 9
     trp: int = 9
     burst_beats: int = 8  # 64B over a 64-bit channel
-    banks: int = 8
 
     @property
     def burst_clocks(self) -> int:
@@ -57,55 +59,3 @@ class Ddr3Timing:
         """2 × clock × bus width: 12.8GB/s for DDR3-1600 x64."""
         return 2 * self.clock_hz * 8
 
-    def clocks_to_ns(self, clocks: float) -> float:
-        return clocks / self.clock_hz * 1e9
-
-
-@dataclass
-class DramBank:
-    """One bank's availability clock (closed-page: no open-row state)."""
-
-    next_ready_clock: int = 0
-
-    def service(self, arrival_clock: int, timing: Ddr3Timing) -> int:
-        """Begin an access at or after *arrival_clock*; returns the
-        clock when data is fully returned."""
-        start = max(arrival_clock, self.next_ready_clock)
-        done = start + timing.access_clocks
-        self.next_ready_clock = start + timing.bank_cycle_clocks
-        return done
-
-
-@dataclass
-class DramChannel:
-    """One 64-bit channel: banks plus a shared data bus."""
-
-    timing: Ddr3Timing = field(default_factory=Ddr3Timing)
-    banks: List[DramBank] = field(default_factory=list)
-    _bus_free_clock: int = 0
-    stats: dict = field(default_factory=lambda: {"accesses": 0, "bank_conflicts": 0})
-
-    def __post_init__(self) -> None:
-        if not self.banks:
-            self.banks = [DramBank() for _ in range(self.timing.banks)]
-
-    def bank_of(self, line_addr: int) -> int:
-        return line_addr % len(self.banks)
-
-    def access(self, line_addr: int, arrival_clock: int) -> int:
-        """Service one line read/write; returns completion clock."""
-        self.stats["accesses"] += 1
-        bank = self.banks[self.bank_of(line_addr)]
-        if bank.next_ready_clock > arrival_clock:
-            self.stats["bank_conflicts"] += 1
-        # The data burst also needs the shared bus.
-        start = max(arrival_clock, bank.next_ready_clock)
-        data_start = start + self.timing.trcd + self.timing.cl
-        data_start = max(data_start, self._bus_free_clock)
-        done = data_start + self.timing.burst_clocks
-        self._bus_free_clock = done
-        bank.next_ready_clock = (
-            start + self.timing.bank_cycle_clocks
-            + max(0, data_start - (start + self.timing.trcd + self.timing.cl))
-        )
-        return done

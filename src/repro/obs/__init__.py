@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.obs.export import (
     bucket_counts,
     dump_trace_jsonl,
-    dump_tracer,
     load_trace_jsonl,
     parse_prometheus,
     prometheus_name,
@@ -61,7 +60,6 @@ __all__ = [
     "Tracer",
     "bucket_counts",
     "dump_trace_jsonl",
-    "dump_tracer",
     "instrumented_stage_count",
     "kernel_header",
     "load_trace_jsonl",

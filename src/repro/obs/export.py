@@ -23,7 +23,7 @@ import re
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span
 
 Number = Union[int, float]
 
@@ -81,12 +81,6 @@ def load_trace_jsonl(stream: IO[str]) -> List[Span]:
             )
         )
     return spans
-
-
-def dump_tracer(tracer: Tracer, path: str) -> int:
-    """Dump a tracer's ring buffer to *path*; returns spans written."""
-    with open(path, "w", encoding="utf-8") as stream:
-        return dump_trace_jsonl(tracer.spans(), stream)
 
 
 # ----------------------------------------------------------------------

@@ -73,9 +73,5 @@ class FailoverPlan:
         if any(point < 0 for point in self.scripted_kills):
             raise ValueError("scripted_kills must be non-negative")
 
-    @property
-    def any_kills(self) -> bool:
-        return self.kill_rate > 0.0 or bool(self.scripted_kills)
-
     def scaled(self, **overrides) -> "FailoverPlan":
         return replace(self, **overrides)

@@ -1,7 +1,10 @@
 """Single-thread latency model (Table IV, Fig 17).
 
 The paper's cores are in-order, 1 CPI for non-memory work, with the
-memory subsystem latencies of Table IV. This model turns a
+memory subsystem latencies of Table IV. CABLE's compress/decompress
+cycles come from the §IV-D search-pipeline model
+(:func:`repro.core.pipeline.end_to_end_cycles`); the other schemes'
+are the paper's constants. This model turns a
 :class:`~repro.sim.memlink.MemLinkResult` into execution cycles:
 
 ``cycles = instructions × 1
@@ -21,9 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import CableConfig
+from repro.core.pipeline import end_to_end_cycles
 from repro.sim.memlink import MemLinkResult
 
+_CABLE_BUDGET = end_to_end_cycles(CableConfig())
+
 #: Compression/decompression latencies in core cycles (Table IV).
+#: CABLE's pair is the §IV-D pipeline model's: compression includes
+#: the worst-case search.
 COMPRESSION_LATENCIES = {
     "raw": (0, 0),
     "zero": (1, 1),
@@ -32,7 +41,10 @@ COMPRESSION_LATENCIES = {
     "cpack128": (8, 8),
     "lbe256": (8, 8),
     "gzip": (64, 32),
-    "cable": (32, 16),  # compress includes the 16-cycle search
+    "cable": (
+        _CABLE_BUDGET["search"] + _CABLE_BUDGET["compress"],
+        _CABLE_BUDGET["decompress"],
+    ),
 }
 
 

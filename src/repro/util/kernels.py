@@ -344,10 +344,3 @@ class BatchLines:
             self.tmasks = [
                 trivial_mask(line, trivial_threshold_bits) for line in self.lines
             ]
-
-
-def clear_caches() -> None:
-    """Drop the per-line memo caches (tests and benchmarks only)."""
-    line_words.cache_clear()
-    trivial_mask.cache_clear()
-    line_match_mask.cache_clear()

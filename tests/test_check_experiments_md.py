@@ -32,3 +32,19 @@ def test_missing_gated_archive_fails_the_gate(checker, capsys):
     assert checker.main([]) == 1
     out = capsys.readouterr().out
     assert f"FAIL {stem}: gated archive {stem}.txt is missing" in out
+
+
+def test_stale_ungated_entry_fails_list_gates(checker, tmp_path, monkeypatch, capsys):
+    """An UNGATED_TABLES entry whose table is gone fails --list-gates,
+    so an exemption cannot outlive the table it was written for."""
+    assert checker.main(["--list-gates"]) == 0
+    capsys.readouterr()
+    lines = checker.EXPERIMENTS_MD.read_text().splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line.startswith("| stage |"))
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    copy = tmp_path / "EXPERIMENTS.md"
+    copy.write_text("".join(lines[:start] + lines[end:]))
+    monkeypatch.setattr(checker, "EXPERIMENTS_MD", copy)
+    assert checker.main(["--list-gates"]) == 1
+    out = capsys.readouterr().out
+    assert "STALE    UNGATED_TABLES entry ('stage', 'total ms')" in out

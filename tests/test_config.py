@@ -21,7 +21,6 @@ class TestDefaults:
         config = CableConfig()
         assert config.words_per_line == 16
         assert config.max_signatures == 16
-        assert config.end_to_end_latency == 48
 
 
 class TestValidation:

@@ -1,13 +1,8 @@
-"""DRAM substrate: DDR3 timing and the FCFS controller."""
+"""DRAM substrate: DDR3 timing (Table IV's 9-9-9 arithmetic)."""
 
 import pytest
 
-from repro.memory import (
-    Ddr3Timing,
-    DramChannel,
-    FcfsController,
-    MemoryRequest,
-)
+from repro.memory import Ddr3Timing
 
 
 class TestDdr3Timing:
@@ -30,90 +25,3 @@ class TestDdr3Timing:
         timing = Ddr3Timing()
         assert timing.bank_cycle_clocks == 22 + 9
 
-
-class TestDramChannel:
-    def test_unloaded_access(self):
-        channel = DramChannel()
-        done = channel.access(0, arrival_clock=0)
-        assert done == 22
-
-    def test_same_bank_serializes(self):
-        channel = DramChannel()
-        first = channel.access(0, 0)
-        second = channel.access(0 + channel.timing.banks, 0)  # same bank
-        assert second >= first + channel.timing.trp
-        assert channel.stats["bank_conflicts"] == 1
-
-    def test_different_banks_overlap(self):
-        channel = DramChannel()
-        first = channel.access(0, 0)
-        second = channel.access(1, 0)  # different bank
-        # Only the shared data bus separates them (4 clocks).
-        assert second == first + channel.timing.burst_clocks
-        assert channel.stats["bank_conflicts"] == 0
-
-    def test_bus_contention_counts(self):
-        channel = DramChannel()
-        dones = [channel.access(bank, 0) for bank in range(8)]
-        # Eight parallel banks, one bus: completions spaced by bursts.
-        spacing = {b - a for a, b in zip(dones, dones[1:])}
-        assert spacing == {channel.timing.burst_clocks}
-
-
-class TestFcfsController:
-    def test_line_interleaving(self):
-        controller = FcfsController(channels=4)
-        assert [controller.channel_of(a) for a in range(8)] == [0, 1, 2, 3] * 2
-
-    def test_unloaded_latency(self):
-        controller = FcfsController()
-        completed = controller.service([MemoryRequest(0, arrival_ns=0.0)])
-        assert completed[0].latency_ns == pytest.approx(27.5)
-
-    def test_fcfs_order_respected(self):
-        """A later request to an idle bank still waits for its channel
-        predecessor to start — no reordering."""
-        controller = FcfsController(channels=1)
-        requests = [
-            MemoryRequest(0, arrival_ns=0.0),
-            MemoryRequest(8, arrival_ns=1.0),  # same bank (conflict)
-            MemoryRequest(1, arrival_ns=2.0),  # idle bank, arrives last
-        ]
-        completed = controller.service(requests)
-        assert completed[2].completion_ns >= completed[0].completion_ns
-
-    def test_bandwidth_under_saturation(self):
-        """Back-to-back traffic approaches (but never exceeds) peak."""
-        controller = FcfsController(channels=1)
-        requests = [
-            MemoryRequest(addr, arrival_ns=0.0) for addr in range(400)
-        ]
-        completed = controller.service(requests)
-        achieved = controller.achieved_bandwidth(completed)
-        peak = controller.peak_bandwidth_bytes_per_s()
-        assert 0.3 * peak < achieved <= peak
-
-    def test_four_channels_scale_bandwidth(self):
-        slow = FcfsController(channels=1)
-        fast = FcfsController(channels=4)
-        requests = [MemoryRequest(addr, 0.0) for addr in range(400)]
-        bw1 = slow.achieved_bandwidth(slow.service(list(requests)))
-        bw4 = fast.achieved_bandwidth(fast.service(list(requests)))
-        assert bw4 > 2.5 * bw1
-
-    def test_latency_grows_under_load(self):
-        controller = FcfsController(channels=1)
-        light = controller.service(
-            [MemoryRequest(a, a * 1000.0) for a in range(50)]
-        )
-        controller2 = FcfsController(channels=1)
-        heavy = controller2.service(
-            [MemoryRequest(a, a * 5.0) for a in range(50)]
-        )
-        assert controller2.average_latency_ns(heavy) > controller.average_latency_ns(
-            light
-        )
-
-    def test_invalid_channel_count(self):
-        with pytest.raises(ValueError):
-            FcfsController(channels=0)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import CableConfig
 from repro.core.pipeline import SearchPipelineModel, end_to_end_cycles
 from repro.core.signature import SignatureExtractor
+from repro.sim.timing import COMPRESSION_LATENCIES
 from repro.util.words import words_to_bytes
 
 
@@ -50,10 +51,13 @@ class TestEndToEnd:
         assert budget["total"] == 48
 
     def test_matches_config_constants(self):
-        config = CableConfig()
-        budget = end_to_end_cycles(config)
-        assert budget["total"] == config.end_to_end_latency
-        assert budget["search"] == config.search_latency
+        """The timing model charges CABLE exactly the pipeline budget:
+        compression includes the search."""
+        budget = end_to_end_cycles(CableConfig())
+        assert COMPRESSION_LATENCIES["cable"] == (
+            budget["search"] + budget["compress"],
+            budget["decompress"],
+        )
 
     def test_faster_engine(self):
         budget = end_to_end_cycles(

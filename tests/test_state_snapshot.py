@@ -4,8 +4,7 @@ Property tests for the two guarantees the restore path leans on:
 
 - **round-trip** — ``restore_state(snapshot_state(x))`` into a fresh
   structure reproduces ``x`` exactly (canonical-bytes equality), for
-  the WMT, the SuperWMT, the signature hash table and the eviction
-  buffer;
+  the WMT, the signature hash table and the eviction buffer;
 - **no half-trust** — any single flipped byte anywhere in a snapshot
   container raises :class:`SnapshotCorruptionError`; a snapshot is
   trusted completely or discarded completely.
@@ -18,7 +17,6 @@ from repro.cache.setassoc import CacheGeometry, LineId
 from repro.core.errors import SnapshotCorruptionError
 from repro.core.evictbuf import EvictionBuffer
 from repro.core.hashtable import SignatureHashTable
-from repro.core.superwmt import SuperWmt
 from repro.core.wmt import WayMapTable
 from repro.state.snapshot import MAGIC, read_snapshot, write_snapshot
 
@@ -58,30 +56,6 @@ def wmts(draw):
 
 
 @st.composite
-def superwmts(draw):
-    from repro.core.wmt import NormalizedHomeLid
-
-    pool = SuperWmt(HOME, REMOTE, links=2, capacity_fraction=0.5)
-    pairs = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, 1),
-                st.integers(0, REMOTE.sets - 1),
-                st.integers(0, REMOTE.ways - 1),
-                st.integers(0, 1),  # alias
-                st.integers(0, HOME.ways - 1),
-            ),
-            max_size=24,
-        )
-    )
-    for link_id, remote_index, remote_way, alias, home_way in pairs:
-        pool.install(
-            link_id, remote_index, remote_way, NormalizedHomeLid(alias, home_way)
-        )
-    return pool
-
-
-@st.composite
 def hash_tables(draw):
     table = SignatureHashTable(entries=64, bucket_entries=2)
     inserts = draw(
@@ -115,14 +89,12 @@ def evict_buffers(draw):
     return buf
 
 
-STRUCTURES = st.one_of(wmts(), superwmts(), hash_tables(), evict_buffers())
+STRUCTURES = st.one_of(wmts(), hash_tables(), evict_buffers())
 
 
 def fresh_like(structure):
     if isinstance(structure, WayMapTable):
         return WayMapTable(HOME, REMOTE)
-    if isinstance(structure, SuperWmt):
-        return SuperWmt(HOME, REMOTE, links=2, capacity_fraction=0.5)
     if isinstance(structure, SignatureHashTable):
         return SignatureHashTable(entries=64, bucket_entries=2)
     return EvictionBuffer(capacity=8)

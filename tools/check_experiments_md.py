@@ -26,12 +26,13 @@ Two layers of checking (exit code 1 on any violation):
    are reported as a per-table diff summary — every mismatching cell
    with its quoted value, archived value and the tolerance applied —
    never a first-mismatch abort. Rows the archives don't carry (``—``
-   cells) are skipped, and machine-dependent tables (hot-path rates,
-   the per-stage latency profile) are deliberately *not* drift-checked
-   — they are enumerated in :data:`UNGATED_TABLES` instead, and
-   ``--list-gates`` asserts that every table in EXPERIMENTS.md is in
-   exactly one of the two camps (so a new table cannot land silently
-   ungated).
+   cells) are skipped, and machine-dependent tables (the per-stage
+   latency profile) are deliberately *not* drift-checked — they are
+   enumerated in :data:`UNGATED_TABLES` instead, and ``--list-gates``
+   asserts that every table in EXPERIMENTS.md is in exactly one of the
+   two camps (so a new table cannot land silently ungated) and that
+   every allowlist entry still matches a table (so a deleted table
+   cannot leave its exemption behind).
 
 Run from the repo root (CI does) or anywhere — paths are anchored to
 this file.
@@ -554,7 +555,6 @@ DRIFT_TABLES = (
 UNGATED_TABLES = (
     (("claim", "paper"), "headline roll-up of already-gated tables"),
     (("scheme", "paper scale"), "paper-scale appendix, regenerated manually"),
-    (("metric", "pre-kernels"), "machine-dependent throughput"),
     (("stage", "total ms"), "machine-dependent latency profile"),
 )
 
@@ -612,13 +612,16 @@ def list_gates():
 
     Exit nonzero when any table matches neither a DRIFT_TABLES
     signature nor the UNGATED_TABLES allowlist — the CI workflow runs
-    this so a new quoted table cannot land without choosing a camp.
+    this so a new quoted table cannot land without choosing a camp —
+    or when an UNGATED_TABLES entry matches no table, so the allowlist
+    cannot outlive the tables it exempts.
     """
     if not EXPERIMENTS_MD.exists():
         print("EXPERIMENTS.md not found")
         return 1
+    tables = parse_markdown_tables(EXPERIMENTS_MD.read_text())
     unknown = 0
-    for table in parse_markdown_tables(EXPERIMENTS_MD.read_text()):
+    for table in tables:
         kind, label = classify_table(table.headers)
         where = f"L{table.line} ({table.section})"
         if kind == "gated":
@@ -632,7 +635,17 @@ def list_gates():
                 "DRIFT_TABLES signature and are not allowlisted in "
                 "UNGATED_TABLES"
             )
-    return 1 if unknown else 0
+    stale = [
+        required
+        for required, _ in UNGATED_TABLES
+        if not any(all(h in table.headers for h in required) for table in tables)
+    ]
+    for required in stale:
+        print(
+            f"STALE    UNGATED_TABLES entry {required!r} matches no "
+            "EXPERIMENTS.md table"
+        )
+    return 1 if unknown or stale else 0
 
 
 def main(argv=None):
