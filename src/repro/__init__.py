@@ -16,8 +16,9 @@ The package layout mirrors the system inventory in DESIGN.md:
   synchronization and race handling.
 - :mod:`repro.link` — the off-chip link model (flit packing, bit toggles).
 - :mod:`repro.trace` — synthetic SPEC2006-like workload generators.
-- :mod:`repro.sim` — memory-link and multi-chip simulations plus timing,
-  throughput, energy and area models.
+- :mod:`repro.sim` — memory-link, multi-chip and multiprogram
+  simulations on one link leg, plus timing, throughput, energy and area
+  models.
 - :mod:`repro.analysis` — metrics and text-table rendering.
 - :mod:`repro.experiments` — one module per paper table/figure.
 """

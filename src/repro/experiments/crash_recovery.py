@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.metrics import summarize_recovery
+from repro.core.config import CableConfig
 from repro.experiments.base import ExperimentResult, memlink_config, resolve_scale
 from repro.fault.campaign import run_crash_campaign
 from repro.fault.plan import FaultPlan
@@ -119,7 +120,9 @@ def run(
     memlink = run_memlink(
         benchmark,
         memlink_config(
-            preset, durability=DURABILITY, crash_points=MEMLINK_CRASHES
+            preset,
+            cable=CableConfig(durability=DURABILITY),
+            crash_points=MEMLINK_CRASHES,
         ),
     )
     mstats = summarize_recovery(memlink.health)

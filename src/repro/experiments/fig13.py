@@ -29,6 +29,17 @@ _DEFAULT_BENCHMARKS = (
 )
 
 
+def multichip_config(scale) -> MultiChipConfig:
+    """The coherence-link configuration Fig 13 runs at *scale*."""
+    preset = resolve_scale(scale)
+    return MultiChipConfig(
+        accesses=preset.accesses,
+        llc_bytes=preset.llc_bytes * 4,  # per-node LLC; share/link = llc/4
+        ws_scale=preset.ws_scale,
+        warmup_fraction=preset.warmup_fraction,
+    )
+
+
 def run(scale="default", benchmarks: Optional[Sequence[str]] = None) -> ExperimentResult:
     preset = resolve_scale(scale)
     benchmarks = list(benchmarks or _DEFAULT_BENCHMARKS)
@@ -41,12 +52,7 @@ def run(scale="default", benchmarks: Optional[Sequence[str]] = None) -> Experime
             "transfers; CABLE+LBE ~86% better than CPACK on average"
         ),
     )
-    config = MultiChipConfig(
-        accesses=preset.accesses,
-        llc_bytes=preset.llc_bytes * 4,  # per-node LLC; share/link = llc/4
-        ws_scale=preset.ws_scale,
-        warmup_fraction=preset.warmup_fraction,
-    )
+    config = multichip_config(preset)
     cable_vals = []
     cpack_vals = []
     for benchmark in benchmarks:

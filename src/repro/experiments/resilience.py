@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.metrics import geometric_mean
+from repro.core.config import CableConfig
 from repro.experiments.base import ExperimentResult, cached_memlink
 from repro.fault.plan import FaultPlan, RecoveryPolicy
 
@@ -101,8 +102,7 @@ def run(
                 benchmark,
                 "cable",
                 scale,
-                faults=plan,
-                recovery=SWEEP_POLICY,
+                cable=CableConfig(faults=plan, recovery=SWEEP_POLICY),
             )
             for key in counters:
                 counters[key] += sim.health.get(key, 0)

@@ -1,13 +1,19 @@
-"""System-simulation substrate: link simulations and analytical models."""
+"""System-simulation substrate: link simulations and analytical models.
 
+Every link simulation builds its link from one scheme name through
+:class:`repro.sim.leg.LinkLeg` and counts what crosses it in a
+:class:`repro.sim.leg.LinkCounts`.
+"""
+
+from repro.sim.leg import LINK_SCHEMES, STREAM_SCHEMES, LinkCounts, LinkLeg, gzip_window
 from repro.sim.memlink import (
     MemLinkConfig,
     MemLinkResult,
     MemLinkSimulation,
+    resolve_profile,
     run_memlink,
     run_suite,
     scale_profile,
-    STREAM_SCHEMES,
 )
 from repro.sim.multichip import MultiChipConfig, MultiChipSimulation, run_multichip
 from repro.sim.timing import TimingModel, COMPRESSION_LATENCIES
@@ -23,13 +29,18 @@ from repro.sim.queueing import (
 )
 
 __all__ = [
+    "LINK_SCHEMES",
+    "STREAM_SCHEMES",
+    "LinkCounts",
+    "LinkLeg",
+    "gzip_window",
     "MemLinkConfig",
     "MemLinkResult",
     "MemLinkSimulation",
+    "resolve_profile",
     "run_memlink",
     "run_suite",
     "scale_profile",
-    "STREAM_SCHEMES",
     "MultiChipConfig",
     "MultiChipSimulation",
     "run_multichip",

@@ -4,12 +4,14 @@ Trace-driven model of the paper's primary configuration: an on-chip
 LLC (the *remote* cache) backed by an off-chip DRAM-buffer L4 (the
 *home* cache, inclusive, 4× the LLC by default), joined by a 16-bit
 9.6GHz link. Every fill and write-back crossing the link is encoded by
-the selected scheme:
+the selected scheme, built by :class:`repro.sim.leg.LinkLeg`:
 
 - ``"raw"`` — no compression (the baseline of every figure);
 - ``"cpack"``, ``"bdi"``, ``"cpack128"``, ``"lbe256"``, ``"gzip"``,
   ``"zero"`` — stream link compressors (one independent codec state
-  per direction, carried across the stream);
+  per direction, carried across the stream); gzip's window shrinks
+  with ``llc_bytes`` below the paper's 1MB per thread
+  (:func:`repro.sim.leg.gzip_window`);
 - ``"cable"`` — the full CABLE machinery
   (:class:`repro.core.encoder.CableLinkPair`) with the engine chosen
   by ``cable.engine`` (CABLE+LBE by default, Fig 20 sweeps others).
@@ -24,18 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.hierarchy import InclusivePair, TransferEvent
+from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.compression.registry import make_engine
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair, DecompressionError, TransferRecord
-from repro.fault.plan import FaultPlan, RecoveryPolicy
-from repro.state.plan import DurabilityPolicy
+from repro.core.encoder import CableLinkPair
 from repro.link.channel import LinkModel
 from repro.link.toggles import ToggleCounter
 from repro.core.payload import Payload, PayloadKind
 from repro.obs.registry import METRICS
 from repro.obs.tracer import trace
+from repro.sim.leg import LinkCounts, LinkLeg, gzip_window
 from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.stream import SharedBackingStore, WorkloadModel
 from repro.tune.controller import KnobController
@@ -43,8 +44,8 @@ from repro.tune.plan import TuningPlan
 
 _MB = 1024 * 1024
 
-#: Stream schemes and whether their codec state spans the stream.
-STREAM_SCHEMES = ("zero", "bdi", "cpack", "cpack128", "lbe256", "gzip")
+#: The paper's LLC per thread: the size gzip's 32KB window is set for.
+PAPER_LLC_BYTES = 1 * _MB
 
 
 def scale_profile(profile: BenchmarkProfile, ws_scale: float) -> BenchmarkProfile:
@@ -55,12 +56,20 @@ def scale_profile(profile: BenchmarkProfile, ws_scale: float) -> BenchmarkProfil
     size; ``members_per_family`` is preserved (it is a property of the
     program's data structures, not its footprint).
     """
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(
+    return replace(
         profile,
         working_set_lines=max(64, int(profile.working_set_lines * ws_scale)),
     )
+
+
+def resolve_profile(benchmark, ws_scale: float) -> BenchmarkProfile:
+    """A benchmark name or profile, its footprint scaled by *ws_scale*."""
+    profile = (
+        benchmark if isinstance(benchmark, BenchmarkProfile) else get_profile(benchmark)
+    )
+    if ws_scale != 1.0:
+        profile = scale_profile(profile, ws_scale)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -85,24 +94,9 @@ class MemLinkConfig:
     #: cache-pressure regime quickly (tests set ws_scale =
     #: llc_bytes / 1MB to mirror the paper's 1MB-per-thread ratio).
     ws_scale: float = 1.0
-    #: When running scaled-down (llc_bytes below the paper's 1MB per
-    #: thread), shrink gzip's stream window proportionally so the
-    #: window:LLC dictionary-size ratio — the quantity every
-    #: CABLE-vs-gzip comparison hinges on — is preserved. Full-size
-    #: runs keep the paper's 32KB window.
-    scale_gzip_window: bool = True
-    llc_reference_bytes: int = 1 * _MB
-    #: Fault injection / link recovery (cable scheme only): when set,
-    #: these override the corresponding fields of ``cable`` so sweeps
-    #: can vary fault rates without rebuilding the whole CableConfig.
-    faults: Optional[FaultPlan] = None
-    recovery: Optional[RecoveryPolicy] = None
-    #: Durability (cable scheme only): arms snapshot+journal endpoint
-    #: state managers on the link; overrides ``cable.durability``.
-    durability: Optional[DurabilityPolicy] = None
     #: Scripted endpoint kills: (access_index, side) pairs, applied
     #: right after the given access. Requires a recovery layer (set
-    #: ``durability`` or ``faults``/``recovery``).
+    #: ``cable.durability``, or ``cable.faults``/``cable.recovery``).
     crash_points: Tuple[Tuple[int, str], ...] = ()
     #: Online adaptive knob tuning (cable scheme only): a
     #: :class:`repro.tune.plan.TuningPlan` arms a per-benchmark
@@ -116,23 +110,18 @@ class MemLinkConfig:
 
 
 @dataclass
-class MemLinkResult:
-    """Everything one run produces."""
+class MemLinkResult(LinkCounts):
+    """Everything one run produces: the link's tally plus the cache
+    and encoder event counts the timing/energy models consume."""
 
-    benchmark: str
-    scheme: str
+    benchmark: str = ""
+    scheme: str = ""
     accesses: int = 0
     instructions: float = 0.0
     llc_hits: int = 0
     llc_misses: int = 0
     l4_hits: int = 0
     l4_misses: int = 0
-    writebacks: int = 0
-    transfers: int = 0
-    raw_bits: int = 0
-    payload_bits: int = 0
-    flits: int = 0
-    raw_flits: int = 0
     search_data_reads: int = 0
     encodes: int = 0
     decodes: int = 0
@@ -140,9 +129,6 @@ class MemLinkResult:
     reference_count: int = 0
     toggles_raw: int = 0
     toggles_compressed: int = 0
-    #: Recovery-protocol bits (framing + retransmissions); nonzero only
-    #: when the cable scheme runs with a recovery layer.
-    overhead_bits: int = 0
     #: Link health + fault-injection counters (see
     #: :class:`repro.link.recovery.LinkHealth`); covers the whole run
     #: including warmup — recovery behaviour has no warmup phase.
@@ -152,20 +138,6 @@ class MemLinkResult:
     #: Knob-controller roll-up (arm pulls, best arm, regret); None
     #: unless the run was configured with a tuning plan.
     tuning: Optional[Dict[str, object]] = None
-
-    @property
-    def raw_ratio(self) -> float:
-        """Payload (pre-flit) compression ratio."""
-        if self.payload_bits == 0:
-            return 1.0
-        return self.raw_bits / self.payload_bits
-
-    @property
-    def effective_ratio(self) -> float:
-        """Flit-quantized bandwidth ratio — what the paper plots."""
-        if self.flits == 0:
-            return 1.0
-        return self.raw_flits / self.flits
 
     @property
     def llc_miss_rate(self) -> float:
@@ -188,48 +160,12 @@ class MemLinkResult:
         return 1.0 - self.toggles_compressed / self.toggles_raw
 
 
-class _StreamCodec:
-    """A stream link compressor on one direction, with verification."""
-
-    def __init__(self, engine_name: str, verify: bool, window_bytes=None) -> None:
-        if window_bytes is not None:
-            from repro.compression.lzss import LzssCompressor
-
-            self.encoder = LzssCompressor(window_bytes=window_bytes)
-            self.decoder = LzssCompressor(window_bytes=window_bytes)
-        else:
-            self.encoder = make_engine(engine_name)
-            self.decoder = make_engine(engine_name)
-        self.verify = verify
-
-    def transfer(self, data: bytes) -> int:
-        """Compress one line; returns payload bits (with 1-bit flag)."""
-        block = self.encoder.compress(data)
-        raw_bits = len(data) * 8
-        if block.size_bits >= raw_bits:
-            # Sent uncompressed; the decoder window must stay in sync,
-            # which engines do by decompressing their own block.
-            if self.verify or self.decoder.stateful:
-                decoded = self.decoder.decompress(block)
-                if self.verify and decoded != data:
-                    raise DecompressionError("stream codec round-trip failed")
-            return 1 + raw_bits
-        if self.verify or self.decoder.stateful:
-            decoded = self.decoder.decompress(block)
-            if self.verify and decoded != data:
-                raise DecompressionError("stream codec round-trip failed")
-        return 1 + block.size_bits
-
-
 class MemLinkSimulation:
     """One benchmark × one scheme on the memory link."""
 
     def __init__(self, benchmark, config: MemLinkConfig) -> None:
         self.config = config
-        profile = benchmark if isinstance(benchmark, BenchmarkProfile) else get_profile(benchmark)
-        if config.ws_scale != 1.0:
-            profile = scale_profile(profile, config.ws_scale)
-        self.profile = profile
+        self.profile = profile = resolve_profile(benchmark, config.ws_scale)
         self.workload = WorkloadModel(profile, seed=config.seed)
         self.backing = SharedBackingStore([self.workload])
         self.home = SetAssociativeCache(
@@ -246,121 +182,57 @@ class MemLinkSimulation:
         self.result = MemLinkResult(
             benchmark=profile.name, scheme=config.scheme, link=config.link
         )
-        self._line_bits = config.line_bytes * 8
-        self._raw_flits_per_line = config.link.flits_for(self._line_bits)
         self._counting = False
         self._toggle_raw: Optional[ToggleCounter] = None
         self._toggle_comp: Optional[ToggleCounter] = None
         if config.count_toggles:
             self._toggle_raw = ToggleCounter(config.link.width_bits)
             self._toggle_comp = ToggleCounter(config.link.width_bits)
+        self.leg = LinkLeg(
+            config.scheme,
+            self.pair,
+            self._observe_cable,
+            cable_config=config.cable,
+            verify=config.verify,
+            window_bytes=gzip_window(config.llc_bytes, PAPER_LLC_BYTES),
+        )
+        self.cable: Optional[CableLinkPair] = self.leg.cable
 
-        self.cable: Optional[CableLinkPair] = None
-        self._fill_codec: Optional[_StreamCodec] = None
-        self._wb_codec: Optional[_StreamCodec] = None
-        scheme = config.scheme
-        if scheme == "cable":
-            cable_cfg = config.cable
-            overrides = {}
-            if config.faults is not None:
-                overrides["faults"] = config.faults
-            if config.recovery is not None:
-                overrides["recovery"] = config.recovery
-            if config.durability is not None:
-                overrides["durability"] = config.durability
-            if config.crash_points and config.recovery is None and (
-                config.faults is None or not config.faults.any_faults
-            ) and config.durability is None and cable_cfg.recovery is None:
-                # Scripted kills need the recovery layer armed even
-                # when no probabilistic faults were requested.
-                overrides["recovery"] = RecoveryPolicy()
-            if overrides:
-                cable_cfg = cable_cfg.with_overrides(**overrides)
-            self.cable = CableLinkPair(cable_cfg, self.pair, verify=config.verify)
-            self.cable.listeners.append(self._observe_cable)
-        elif scheme == "raw":
-            self.pair.add_observer(self._observe_raw)
-        elif scheme in STREAM_SCHEMES:
-            window = None
-            if scheme == "gzip" and config.scale_gzip_window:
-                scale = config.llc_bytes / config.llc_reference_bytes
-                if scale < 1.0:
-                    window = max(1024, int(32 * 1024 * scale))
-            self._fill_codec = _StreamCodec(scheme, config.verify, window)
-            self._wb_codec = _StreamCodec(scheme, config.verify, window)
-            self.pair.add_observer(self._observe_stream)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-
-    # ------------------------------------------------------------------
-    # Observers (one per scheme family)
-    # ------------------------------------------------------------------
-
-    def _record(
-        self, payload_bits: int, data: bytes, payload=None, overhead_bits: int = 0
-    ) -> None:
+    def _observe_cable(self, record) -> None:
+        """The leg's transfer listener, called once per fill and
+        write-back with the cable's :class:`TransferRecord` (its
+        overhead bits are its own framing and retransmissions, so
+        recovery overhead lands on the transfer that caused it) or,
+        for the other schemes, the leg's record of the line."""
         if not self._counting:
             return
-        result = self.result
-        result.transfers += 1
-        result.raw_bits += len(data) * 8
-        result.payload_bits += payload_bits
-        result.flits += self.config.link.flits_for(payload_bits)
-        result.raw_flits += self._raw_flits_per_line
-        result.per_transfer_bits.append(payload_bits)
-        if overhead_bits:
-            # Retransmissions and frame headers cross the wire as their
-            # own flits; they cost bandwidth the effective ratio sees.
-            result.overhead_bits += overhead_bits
-            result.flits += self.config.link.flits_for(overhead_bits)
+        self.result.add(self.config.link, record)
+        self.result.per_transfer_bits.append(record.size_bits)
         if self._toggle_raw is not None:
-            self._toggle_raw.record_raw(data)
-            if payload is not None:
-                self._toggle_comp.record_payload(payload)
+            self._toggle_raw.record_raw(record.data)
+            self._toggle_comp.record_payload(self._wire_payload(record))
 
-    def _observe_raw(self, event: TransferEvent) -> None:
-        if event.kind not in ("fill", "writeback"):
-            return
-        payload = None
-        if self._toggle_comp is not None:
-            payload = Payload(
+    def _wire_payload(self, record) -> Payload:
+        """The payload whose bits toggle the compressed link's wires."""
+        scheme = self.config.scheme
+        if scheme == "cable":
+            return record.payload
+        if scheme == "raw":
+            return Payload(
                 kind=PayloadKind.UNCOMPRESSED,
-                line_addr=event.line_addr,
-                line_bytes=len(event.data),
-                raw=event.data,
+                line_addr=record.line_addr,
+                line_bytes=len(record.data),
+                raw=record.data,
             )
-        # An uncompressed link carries no flag bit — raw lines exactly.
-        self._record(len(event.data) * 8, event.data, payload)
-
-    def _observe_stream(self, event: TransferEvent) -> None:
-        if event.kind == "fill":
-            codec = self._fill_codec
-        elif event.kind == "writeback":
-            codec = self._wb_codec
-        else:
-            return
-        bits = codec.transfer(event.data)
-        self._record(bits, event.data, None)
-        if self._toggle_comp is not None and self._counting:
-            # Toggle content for stream schemes: a stateless re-encode
-            # (reusing the live encoder would disturb its window). The
-            # bit content differs slightly from the stream encoding but
-            # has the same entropy character.
-            engine = make_engine(self.config.scheme)
-            payload = Payload(
-                kind=PayloadKind.NO_REFERENCE,
-                line_addr=event.line_addr,
-                line_bytes=len(event.data),
-                block=engine.compress(event.data),
-            )
-            self._toggle_comp.record_payload(payload)
-
-    def _observe_cable(self, record: TransferRecord) -> None:
-        """The cable's transfer listener. Each record carries the
-        framing and retransmission bits of its own transfer, so
-        recovery overhead lands on the transfer that caused it."""
-        self._record(
-            record.payload.size_bits, record.data, record.payload, record.overhead_bits
+        # Stream schemes: a stateless re-encode (reusing the live
+        # encoder would disturb its window). The bit content differs
+        # slightly from the stream encoding but has the same entropy
+        # character.
+        return Payload(
+            kind=PayloadKind.NO_REFERENCE,
+            line_addr=record.line_addr,
+            line_bytes=len(record.data),
+            block=make_engine(scheme).compress(record.data),
         )
 
     # ------------------------------------------------------------------
@@ -403,8 +275,7 @@ class MemLinkSimulation:
         if tuner is not None:
             tuner.finish()
             self.result.tuning = tuner.rollup()
-        if self.cable is not None:
-            self.cable.lifecycle.drain_resync()
+        self.leg.finish()
         self._finish()
         return self.result
 

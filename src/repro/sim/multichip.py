@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.cache.hierarchy import InclusivePair, TransferEvent
+from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair, TransferRecord
 from repro.link.channel import LinkModel
-from repro.sim.memlink import MemLinkResult, scale_profile
-from repro.trace.profiles import BenchmarkProfile, get_profile
+from repro.sim.leg import LinkLeg, gzip_window
+from repro.sim.memlink import MemLinkResult, resolve_profile
 from repro.trace.stream import SharedBackingStore, WorkloadModel
 
 _MB = 1024 * 1024
@@ -37,12 +36,16 @@ _MB = 1024 * 1024
 #: Lines per page (4KB pages of 64B lines).
 PAGE_LINES = 64
 
+#: The per-node LLC gzip's 32KB window is set for: Fig 13 gives each
+#: node four times the paper's 1MB per-thread LLC.
+PAPER_NODE_LLC_BYTES = 4 * _MB
+
 
 @dataclass(frozen=True)
 class MultiChipConfig:
     """Parameters of one coherence-link simulation."""
 
-    #: "cable" or any stream scheme from memlink.STREAM_SCHEMES / "raw".
+    #: Any of :data:`repro.sim.leg.LINK_SCHEMES`.
     scheme: str = "cable"
     nodes: int = 4
     #: Per-node LLC; the requester's share per link is llc_bytes/nodes.
@@ -75,13 +78,7 @@ class MultiChipSimulation:
 
     def __init__(self, benchmark, config: MultiChipConfig) -> None:
         self.config = config
-        profile = (
-            benchmark
-            if isinstance(benchmark, BenchmarkProfile)
-            else get_profile(benchmark)
-        )
-        if config.ws_scale != 1.0:
-            profile = scale_profile(profile, config.ws_scale)
+        profile = resolve_profile(benchmark, config.ws_scale)
         profile = replace(
             profile,
             write_fraction=min(0.6, profile.write_fraction * config.write_boost),
@@ -89,12 +86,18 @@ class MultiChipSimulation:
         self.profile = profile
         self.workload = WorkloadModel(profile, seed=config.seed)
         self.backing = SharedBackingStore([self.workload])
+        self.result = MemLinkResult(
+            benchmark=profile.name,
+            scheme=f"{config.scheme}-coherence",
+            link=config.link,
+        )
+        self._counting = False
 
         remote_share = config.llc_bytes // config.nodes
         home_bytes = remote_share * config.home_ratio
-        self.links: List[Optional[CableLinkPair]] = []
+        window = gzip_window(config.llc_bytes, PAPER_NODE_LLC_BYTES)
         self.pairs: List[InclusivePair] = []
-        self._codecs = []
+        self.legs: List[LinkLeg] = []
         for node in range(1, config.nodes):
             remote = SetAssociativeCache(
                 CacheGeometry(remote_share, config.llc_ways, config.line_bytes),
@@ -106,80 +109,33 @@ class MultiChipSimulation:
             )
             pair = InclusivePair(home, remote, self.backing.read, self.backing.write)
             self.pairs.append(pair)
-            if config.scheme == "cable":
-                link = CableLinkPair(config.cable, pair, verify=config.verify)
-                self.links.append(link)
-            else:
-                self.links.append(None)
-        self.result = MemLinkResult(
-            benchmark=profile.name,
-            scheme=f"{config.scheme}-coherence",
-            link=config.link,
-        )
+            self.legs.append(
+                LinkLeg(
+                    config.scheme,
+                    pair,
+                    self._record,
+                    cable_config=config.cable,
+                    verify=config.verify,
+                    window_bytes=window,
+                )
+            )
 
     def _home_of(self, line_addr: int) -> int:
         return (line_addr // PAGE_LINES) % self.config.nodes
 
+    def _record(self, record) -> None:
+        if self._counting:
+            self.result.add(self.config.link, record)
+            self.result.per_transfer_bits.append(record.size_bits)
+
     def run(self) -> MemLinkResult:
         config = self.config
         warmup = int(config.accesses * config.warmup_fraction)
-        counting = [False]
         result = self.result
-
-        def record(direction: str, data: bytes, payload_bits: int) -> None:
-            if not counting[0]:
-                return
-            result.transfers += 1
-            if direction == "writeback":
-                result.writebacks += 1
-            result.payload_bits += payload_bits
-            result.raw_bits += len(data) * 8
-            result.flits += config.link.flits_for(payload_bits)
-            result.raw_flits += config.link.flits_for(len(data) * 8)
-            result.per_transfer_bits.append(payload_bits)
-
-        def listen(transfer: TransferRecord) -> None:
-            record(transfer.direction, transfer.data, transfer.payload.size_bits)
-
-        def hook_stream(pair: InclusivePair) -> None:
-            from repro.sim.memlink import _StreamCodec
-
-            if config.scheme == "raw":
-                def observe(event: TransferEvent) -> None:
-                    if event.kind in ("fill", "writeback"):
-                        record(event.kind, event.data, len(event.data) * 8)
-            else:
-                # Scale gzip's stream window with the cache scale, as
-                # the memory-link simulation does, to preserve the
-                # window:cache dictionary-size ratio at reduced scale.
-                window = None
-                if config.scheme == "gzip":
-                    cache_scale = config.llc_bytes / (4 * _MB)
-                    if cache_scale < 1.0:
-                        window = max(1024, int(32 * 1024 * cache_scale))
-                fill_codec = _StreamCodec(config.scheme, config.verify, window)
-                wb_codec = _StreamCodec(config.scheme, config.verify, window)
-
-                def observe(event: TransferEvent) -> None:
-                    if event.kind == "fill":
-                        record("fill", event.data, fill_codec.transfer(event.data))
-                    elif event.kind == "writeback":
-                        record(
-                            "writeback", event.data, wb_codec.transfer(event.data)
-                        )
-
-            pair.add_observer(observe)
-
-        for pair, link in zip(self.pairs, self.links):
-            if link is not None:
-                link.listeners.append(listen)
-            else:
-                hook_stream(pair)
-
         base_stats = None
         for i, access in enumerate(self.workload.accesses(config.accesses)):
             if i == warmup:
-                counting[0] = True
+                self._counting = True
                 base_stats = [dict(pair.stats) for pair in self.pairs]
             home = self._home_of(access.line_addr)
             if home == 0:
@@ -190,7 +146,7 @@ class MultiChipSimulation:
                 write_data=access.write_data,
             )
         if base_stats is None:
-            counting[0] = True
+            self._counting = True
             base_stats = [{k: 0 for k in pair.stats} for pair in self.pairs]
         for pair, base in zip(self.pairs, base_stats):
             result.llc_hits += pair.stats["remote_hits"] - base["remote_hits"]

@@ -21,28 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cache.hierarchy import InclusivePair, TransferEvent
+from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.core.config import CableConfig
-from repro.core.encoder import CableLinkPair
 from repro.link.channel import LinkModel
-from repro.sim.memlink import _StreamCodec, scale_profile
+from repro.sim.leg import LinkCounts, LinkLeg, gzip_window
+from repro.sim.memlink import PAPER_LLC_BYTES, scale_profile
 from repro.trace.mixes import MultiprogramWorkload
-
-
-@dataclass
-class SlotAccounting:
-    benchmark: str
-    transfers: int = 0
-    raw_bits: int = 0
-    payload_bits: int = 0
-    flits: int = 0
-    raw_flits: int = 0
-
-    def ratio(self, link: LinkModel) -> float:
-        if self.flits == 0:
-            return 1.0
-        return self.raw_flits / self.flits
 
 
 @dataclass
@@ -50,11 +35,12 @@ class MultiprogramResult:
     benchmarks: Tuple[str, ...]
     scheme: str
     link: LinkModel
-    slots: List[SlotAccounting] = field(default_factory=list)
+    #: One tally per program, in ``benchmarks`` order.
+    slots: List[LinkCounts] = field(default_factory=list)
 
     @property
     def per_slot_ratio(self) -> List[float]:
-        return [slot.ratio(self.link) for slot in self.slots]
+        return [slot.effective_ratio for slot in self.slots]
 
     @property
     def overall_ratio(self) -> float:
@@ -100,45 +86,24 @@ def run_multiprogram(
     pair = InclusivePair(l4, llc, workload.backing.read, workload.backing.write)
 
     result = MultiprogramResult(benchmarks=names, scheme=scheme, link=link_model)
-    result.slots = [SlotAccounting(benchmark=b) for b in names]
+    result.slots = [LinkCounts() for _ in names]
     state = {"slot": 0, "counting": False}
-    line_flits = link_model.flits_for(64 * 8)
 
-    def record(data: bytes, payload_bits: int) -> None:
-        if not state["counting"]:
-            return
-        slot = result.slots[state["slot"]]
-        slot.transfers += 1
-        slot.raw_bits += len(data) * 8
-        slot.payload_bits += payload_bits
-        slot.flits += link_model.flits_for(payload_bits)
-        slot.raw_flits += line_flits
+    def record(transfer) -> None:
+        # Each transfer is charged to the program whose access made it.
+        if state["counting"]:
+            result.slots[state["slot"]].add(link_model, transfer)
 
-    if scheme == "cable":
-        cable_link = CableLinkPair(cable or CableConfig(), pair, verify=verify)
-        cable_link.listeners.append(lambda t: record(t.data, t.payload.size_bits))
-    elif scheme == "raw":
-        def observe(event: TransferEvent) -> None:
-            if event.kind in ("fill", "writeback"):
-                record(event.data, len(event.data) * 8)
-
-        pair.add_observer(observe)
-    else:
-        window = None
-        if scheme == "gzip":
-            scale = preset.llc_bytes / (1024 * 1024)
-            if scale < 1.0:
-                window = max(1024, int(32 * 1024 * scale))
-        fill_codec = _StreamCodec(scheme, verify, window)
-        wb_codec = _StreamCodec(scheme, verify, window)
-
-        def observe(event: TransferEvent) -> None:
-            if event.kind == "fill":
-                record(event.data, fill_codec.transfer(event.data))
-            elif event.kind == "writeback":
-                record(event.data, wb_codec.transfer(event.data))
-
-        pair.add_observer(observe)
+    # The leg stays attached to the pair. gzip's window keeps its
+    # single-program size while the shared LLC grows N×.
+    LinkLeg(
+        scheme,
+        pair,
+        record,
+        cable_config=cable,
+        verify=verify,
+        window_bytes=gzip_window(preset.llc_bytes, PAPER_LLC_BYTES),
+    )
 
     per_program = preset.accesses
     warmup = int(per_program * n * preset.warmup_fraction)

@@ -83,18 +83,6 @@ class TimingModel:
         beats = -(-bits // self.dram_link_width_bits) if bits else 0
         return beats / self.dram_link_hz * self.core_hz
 
-    @classmethod
-    def with_ddr3(cls, **overrides) -> "TimingModel":
-        """Derive DRAM latency from the DDR3 device model instead of
-        the default constant: closed-page access (27.5ns) plus queueing
-        headroom, in core cycles."""
-        from repro.memory.dram import Ddr3Timing
-
-        timing = Ddr3Timing()
-        core_hz = overrides.get("core_hz", cls.core_hz)
-        dram_cycles = int(round(timing.access_ns * 1e-9 * core_hz)) + 5
-        return cls(dram_cycles=dram_cycles, **overrides)
-
     # ------------------------------------------------------------------
 
     def execution_cycles(

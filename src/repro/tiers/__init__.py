@@ -1,4 +1,4 @@
-"""Memory-tier scenario subsystem (ROADMAP item 2).
+"""Memory-tier scenario subsystem.
 
 Wraps the CABLE encoder/link plumbing in three tier models beyond the
 paper's home↔remote LLC link:
@@ -13,11 +13,13 @@ paper's home↔remote LLC link:
   overflow fallback).
 
 All three report the common :class:`repro.tiers.base.TierResult`
-columns, publish ``tier.*`` obs metrics, and are swept by
-:mod:`repro.experiments.tiers`.
+columns (a :class:`repro.sim.leg.LinkCounts` tally plus tier extras),
+publish ``tier.*`` obs metrics, and are swept by
+:mod:`repro.experiments.tiers`. The CXL and DRAM-cache tiers build
+their link with :class:`repro.sim.leg.LinkLeg`.
 """
 
-from repro.tiers.base import LINK_SCHEMES, LinkLeg, LinkTransfer, TierResult
+from repro.tiers.base import TierResult
 from repro.tiers.capacity import (
     CapacityCache,
     CapacityTierSimulation,
@@ -29,9 +31,6 @@ from repro.tiers.dramcache import DramCacheTierSimulation, run_dram_tier
 from repro.tiers.plan import CapacityTierConfig, CxlTierConfig, DramCacheTierConfig
 
 __all__ = [
-    "LINK_SCHEMES",
-    "LinkLeg",
-    "LinkTransfer",
     "TierResult",
     "CxlTierConfig",
     "DramCacheTierConfig",

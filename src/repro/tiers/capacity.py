@@ -1,4 +1,4 @@
-"""Capacity-mode compressed cache tier (ISSUE 10 tier c).
+"""Capacity-mode compressed cache tier.
 
 CRAM's observation: the same compression that saves link bandwidth can
 buy *capacity* if lines are stored compressed and packed several per
@@ -38,10 +38,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.compression.registry import make_engine
 from repro.obs.registry import METRICS
-from repro.sim.memlink import scale_profile
+from repro.sim.leg import LegRecord
+from repro.sim.memlink import resolve_profile
 from repro.tiers.base import TierResult
 from repro.tiers.plan import CapacityTierConfig
-from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.stream import SharedBackingStore, WorkloadModel
 
 
@@ -271,14 +271,7 @@ class CapacityTierSimulation:
 
     def __init__(self, benchmark, config: CapacityTierConfig) -> None:
         self.config = config
-        profile = (
-            benchmark
-            if isinstance(benchmark, BenchmarkProfile)
-            else get_profile(benchmark)
-        )
-        if config.ws_scale != 1.0:
-            profile = scale_profile(profile, config.ws_scale)
-        self.profile = profile
+        self.profile = profile = resolve_profile(benchmark, config.ws_scale)
         self.workload = WorkloadModel(profile, seed=config.seed)
         self.backing = SharedBackingStore([self.workload])
         self.cache = CapacityCache(config, writeback=self._on_writeback)
@@ -287,30 +280,20 @@ class CapacityTierSimulation:
             benchmark=profile.name,
             scheme=config.engine if config.capacity_mode else "raw",
         )
-        self._line_bits = config.line_bytes * 8
         self._counting = False
         self._occupancy_samples = 0
         self._occupancy_sum = 0
 
-    def _ship(self, kind: str, line) -> None:
+    def _ship(self, kind: str, addr: int, line) -> None:
         """One stored image crossing the link (compress once: the
         shipped payload *is* the stored image, plus a 1-bit
         compressed/raw flag)."""
-        if not self._counting:
-            return
-        result = self.result
-        link = self.config.link
-        payload_bits = line.image_bits + 1
-        result.transfers += 1
-        result.raw_bits += self._line_bits
-        result.payload_bits += payload_bits
-        result.flits += link.flits_for(payload_bits)
-        result.raw_flits += link.flits_for(self._line_bits)
-        if kind == "writeback":
-            result.writebacks += 1
+        if self._counting:
+            record = LegRecord(kind, addr, line.data, line.image_bits + 1)
+            self.result.add(self.config.link, record)
 
     def _on_writeback(self, addr: int, line) -> None:
-        self._ship("writeback", line)
+        self._ship("writeback", addr, line)
         self.backing.write(addr, line.data)
         if self.config.verify:
             if self.backing.peek(addr) != line.data:
@@ -329,7 +312,7 @@ class CapacityTierSimulation:
             if data is None:
                 fill_data = self.backing.read(addr)
                 line = self.cache.install(addr, fill_data)
-                self._ship("fill", line)
+                self._ship("fill", addr, line)
             if access.is_write and access.write_data is not None:
                 self.cache.write(addr, access.write_data)
                 self.backing.write(addr, access.write_data)

@@ -1,4 +1,4 @@
-"""CXL far-memory expander tier (ISSUE 10 tier a).
+"""CXL far-memory expander tier.
 
 Topology: the host LLC (remote cache) misses to a CXL memory
 expander whose device-side buffer cache (home cache, inclusive) fronts
@@ -26,10 +26,10 @@ from typing import Optional
 from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.obs.registry import METRICS
-from repro.sim.memlink import scale_profile
-from repro.tiers.base import LinkLeg, TierResult, percentile
+from repro.sim.leg import LinkLeg
+from repro.sim.memlink import resolve_profile
+from repro.tiers.base import TierResult, percentile
 from repro.tiers.plan import CxlTierConfig
-from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.stream import SharedBackingStore, WorkloadModel
 from repro.tune.controller import KnobController
 
@@ -39,14 +39,7 @@ class CxlTierSimulation:
 
     def __init__(self, benchmark, config: CxlTierConfig) -> None:
         self.config = config
-        profile = (
-            benchmark
-            if isinstance(benchmark, BenchmarkProfile)
-            else get_profile(benchmark)
-        )
-        if config.ws_scale != 1.0:
-            profile = scale_profile(profile, config.ws_scale)
-        self.profile = profile
+        self.profile = profile = resolve_profile(benchmark, config.ws_scale)
         self.workload = WorkloadModel(profile, seed=config.seed)
         self.backing = SharedBackingStore([self.workload])
         self.home = SetAssociativeCache(
@@ -60,13 +53,19 @@ class CxlTierSimulation:
         self.pair = InclusivePair(
             self.home, self.remote, self.backing.read, self.backing.write
         )
+        # The queue model times each transfer at its access's arrival:
+        # the leg's records wait here until the access returns.
+        self._arrived = []
         self.leg = LinkLeg(
-            config.scheme, self.pair, cable_config=config.cable, verify=config.verify
+            config.scheme,
+            self.pair,
+            self._arrived.append,
+            cable_config=config.cable,
+            verify=config.verify,
         )
         self.result = TierResult(
             tier="cxl", benchmark=profile.name, scheme=config.scheme
         )
-        self._line_bits = config.line_bytes * 8
         self._counting = False
         # Single-server FIFO resources (model ns next-free times).
         self._write_free = 0.0
@@ -114,31 +113,21 @@ class CxlTierSimulation:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _tally(self, transfer, now_ns: float) -> None:
+    def _tally(self, record, now_ns: float) -> None:
         config = self.config
-        if transfer.kind == "fill":
-            latency = self._fill(now_ns, transfer.payload_bits, transfer.overhead_bits)
+        if record.direction == "fill":
+            latency = self._fill(now_ns, record.size_bits, record.overhead_bits)
             link = config.read_link
             if self._counting:
                 self._fill_latencies.append(latency)
         else:
-            self._writeback(now_ns, transfer.payload_bits, transfer.overhead_bits)
+            self._writeback(now_ns, record.size_bits, record.overhead_bits)
             link = config.write_link
         if not self._counting:
             return
-        result = self.result
-        result.transfers += 1
-        result.raw_bits += transfer.raw_bits
-        result.payload_bits += transfer.payload_bits
-        result.overhead_bits += transfer.overhead_bits
-        result.flits += link.flits_for(transfer.payload_bits)
-        if transfer.overhead_bits:
-            result.flits += link.flits_for(transfer.overhead_bits)
-        result.raw_flits += link.flits_for(transfer.raw_bits)
-        if transfer.kind == "writeback":
-            result.writebacks += 1
+        self.result.add(link, record)
         if METRICS.enabled:
-            METRICS.counter(f"tier.cxl.{transfer.kind}s").inc()
+            METRICS.counter(f"tier.cxl.{record.direction}s").inc()
 
     # ------------------------------------------------------------------
     # Driving
@@ -170,16 +159,17 @@ class CxlTierSimulation:
                 is_write=access.is_write,
                 write_data=access.write_data,
             )
-            for transfer in self.leg.drain():
-                self._tally(transfer, now_ns)
+            for record in self._arrived:
+                self._tally(record, now_ns)
+            self._arrived.clear()
             if tuner is not None:
                 tuner.on_access()
         if tuner is not None:
             tuner.finish()
             self.result.tuning = tuner.rollup()
         self.leg.finish()
-        for transfer in self.leg.drain():  # resync backlog, if any
-            self._tally(transfer, self._read_free)
+        for record in self._arrived:  # resync backlog, if any
+            self._tally(record, self._read_free)
         result = self.result
         if not self._counting:
             self._counting = True  # tiny runs: count everything

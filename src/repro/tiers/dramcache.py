@@ -1,4 +1,4 @@
-"""DRAM-cache tier with software-managed placement (ISSUE 10 tier b).
+"""DRAM-cache tier with software-managed placement.
 
 Topology: a DRAM cache (remote) in front of backing memory, with a
 backing-side window cache (home, inclusive) completing the pair the
@@ -32,10 +32,10 @@ from typing import Dict, Optional
 from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
 from repro.obs.registry import METRICS
-from repro.sim.memlink import scale_profile
-from repro.tiers.base import LinkLeg, TierResult
+from repro.sim.leg import LinkLeg
+from repro.sim.memlink import resolve_profile
+from repro.tiers.base import TierResult
 from repro.tiers.plan import DramCacheTierConfig
-from repro.trace.profiles import BenchmarkProfile, get_profile
 from repro.trace.stream import SharedBackingStore, WorkloadModel
 from repro.tune.controller import KnobController
 
@@ -45,14 +45,7 @@ class DramCacheTierSimulation:
 
     def __init__(self, benchmark, config: DramCacheTierConfig) -> None:
         self.config = config
-        profile = (
-            benchmark
-            if isinstance(benchmark, BenchmarkProfile)
-            else get_profile(benchmark)
-        )
-        if config.ws_scale != 1.0:
-            profile = scale_profile(profile, config.ws_scale)
-        self.profile = profile
+        self.profile = profile = resolve_profile(benchmark, config.ws_scale)
         self.workload = WorkloadModel(profile, seed=config.seed)
         self.backing = SharedBackingStore([self.workload])
         self.home = SetAssociativeCache(
@@ -67,7 +60,11 @@ class DramCacheTierSimulation:
             self.home, self.remote, self.backing.read, self.backing.write
         )
         self.leg = LinkLeg(
-            config.scheme, self.pair, cable_config=config.cable, verify=config.verify
+            config.scheme,
+            self.pair,
+            self._tally,
+            cable_config=config.cable,
+            verify=config.verify,
         )
         self.result = TierResult(
             tier="dram", benchmark=profile.name, scheme=config.scheme
@@ -102,21 +99,10 @@ class DramCacheTierSimulation:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _tally(self, transfer) -> None:
-        if not self._counting:
-            return
-        link = self.config.link
-        result = self.result
-        result.transfers += 1
-        result.raw_bits += transfer.raw_bits
-        result.payload_bits += transfer.payload_bits
-        result.overhead_bits += transfer.overhead_bits
-        result.flits += link.flits_for(transfer.payload_bits)
-        if transfer.overhead_bits:
-            result.flits += link.flits_for(transfer.overhead_bits)
-        result.raw_flits += link.flits_for(transfer.raw_bits)
-        if transfer.kind == "writeback":
-            result.writebacks += 1
+    def _tally(self, record) -> None:
+        """The leg's transfer listener."""
+        if self._counting:
+            self.result.add(self.config.link, record)
 
     # ------------------------------------------------------------------
     # Driving
@@ -153,16 +139,12 @@ class DramCacheTierSimulation:
                 self._note_tag_touch()
             else:
                 self._bypass(access)
-            for transfer in self.leg.drain():
-                self._tally(transfer)
             if tuner is not None:
                 tuner.on_access()
         if tuner is not None:
             tuner.finish()
             self.result.tuning = tuner.rollup()
         self.leg.finish()
-        for transfer in self.leg.drain():
-            self._tally(transfer)
         return self._finish(hits0, misses0, wb0)
 
     def _note_admission(self) -> None:

@@ -3,7 +3,10 @@
 Three tier models, three configs. Each mirrors
 :class:`repro.sim.memlink.MemLinkConfig` in spirit — frozen, with a
 ``scaled(**overrides)`` helper so sweeps and tests can derive variants
-— but carries the knobs its tier actually has:
+— but carries the knobs its tier actually has. The CXL and DRAM-cache
+``scheme`` is any of :data:`repro.sim.leg.LINK_SCHEMES`, built by
+:class:`repro.sim.leg.LinkLeg` as every link simulator's is; the
+capacity tier ships its own stored images:
 
 - :class:`CxlTierConfig` — a CXL far-memory expander: asymmetric
   read/write channels, device-side service latencies, an issue rate

@@ -305,7 +305,7 @@ class TestCampaign:
             llc_bytes=32 * 1024,
             l4_bytes=128 * 1024,
             ws_scale=32 / 1024,
-            durability=DurabilityPolicy(),
+            cable=CableConfig(durability=DurabilityPolicy()),
             crash_points=((400, "home"), (800, "remote")),
         )
         result = run_memlink("omnetpp", config)

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.config import CableConfig
+from repro.sim.leg import STREAM_SCHEMES, gzip_window
 from repro.sim.memlink import (
+    PAPER_LLC_BYTES,
     MemLinkConfig,
     MemLinkSimulation,
-    STREAM_SCHEMES,
     run_memlink,
     run_suite,
 )
@@ -85,14 +86,55 @@ class TestScaling:
 
     def test_gzip_window_scales_down(self):
         sim = MemLinkSimulation("gcc", SMALL.scaled(scheme="gzip"))
-        assert sim._fill_codec.encoder.window_bytes < 32 * 1024
+        # A 32KB LLC is 1/32 of the paper's 1MB: 32KB / 32 = 1KB.
+        assert gzip_window(SMALL.llc_bytes, PAPER_LLC_BYTES) == 1024
+        for codec in sim.leg.codecs.values():
+            assert codec.encoder.window_bytes == 1024
+            assert codec.decoder.window_bytes == 1024
 
     def test_gzip_window_full_at_reference_size(self):
         config = SMALL.scaled(
             scheme="gzip", llc_bytes=1024 * 1024, l4_bytes=4 * 1024 * 1024
         )
         sim = MemLinkSimulation("gcc", config)
-        assert sim._fill_codec.encoder.window_bytes == 32 * 1024
+        assert gzip_window(config.llc_bytes, PAPER_LLC_BYTES) is None
+        for codec in sim.leg.codecs.values():
+            assert codec.encoder.window_bytes == 32 * 1024
+
+
+class TestToggleAccounting:
+    """Link-toggle counts per scheme, pinned: the raw side counts the
+    lines, the compressed side the payload each scheme puts on the
+    wires (the cable's payload, the raw line, or a stream scheme's
+    stateless re-encode)."""
+
+    #: (toggles_raw, toggles_compressed, flits) per scheme.
+    PINNED = {
+        "raw": (106_822, 107_236, 33_184),
+        "cpack": (106_822, 94_042, 10_828),
+        "gzip": (106_822, 117_080, 11_068),
+        "cable": (106_822, 53_020, 7_425),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(PINNED))
+    def test_toggles_pinned(self, scheme):
+        config = MemLinkConfig(
+            scheme=scheme,
+            accesses=1500,
+            llc_bytes=32 * 1024,
+            l4_bytes=128 * 1024,
+            ws_scale=1 / 32,
+            count_toggles=True,
+        )
+        result = run_memlink("gcc", config)
+        counts = (result.toggles_raw, result.toggles_compressed, result.flits)
+        assert counts == self.PINNED[scheme]
+        # The scheme changes the bits on the wire, never which lines cross.
+        assert (result.raw_flits, result.transfers, result.writebacks) == (
+            33_184,
+            1_037,
+            185,
+        )
 
 
 class TestSuiteRunner:

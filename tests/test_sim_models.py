@@ -144,15 +144,3 @@ class TestControl:
     def test_throughput_mostly_retained(self, gcc_results):
         outcome = evaluate_control(gcc_results["cable"])
         assert outcome.throughput_retained > 0.9
-
-
-class TestDdr3Integration:
-    def test_with_ddr3_derives_dram_latency(self):
-        model = TimingModel.with_ddr3()
-        # 27.5ns at 2GHz = 55 cycles, +5 headroom.
-        assert model.dram_cycles == 60
-
-    def test_with_ddr3_overrides(self):
-        model = TimingModel.with_ddr3(core_hz=4.0e9)
-        assert model.core_hz == 4.0e9
-        assert model.dram_cycles == 115

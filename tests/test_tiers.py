@@ -2,7 +2,7 @@
 
 Covers the three tier models' own mechanics — the deterministic CXL
 queue model, DRAM-cache admission/bypass/lazy-tag policy, and
-capacity-mode packing — plus the shared LinkLeg accounting, config
+capacity-mode packing — plus the shared link leg, config
 validation, tuner wiring, and the experiments sweep integration.
 The packing *invariants* (no drop/dup across overflow, kernel-leg
 identity) live in tests/test_tiers_properties.py.
@@ -17,13 +17,12 @@ from repro.tiers import (
     CapacityTierConfig,
     CxlTierConfig,
     DramCacheTierConfig,
-    LinkLeg,
     make_storage_engine,
     run_capacity_tier,
     run_cxl_tier,
     run_dram_tier,
 )
-from repro.tiers.base import LINK_SCHEMES, percentile
+from repro.tiers.base import percentile
 
 _K = 1024
 
@@ -101,6 +100,7 @@ class TestConfigs:
     def test_link_leg_rejects_unknown_scheme(self):
         from repro.cache.hierarchy import InclusivePair
         from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
+        from repro.sim.leg import LINK_SCHEMES, LinkLeg
 
         pair = InclusivePair(
             SetAssociativeCache(CacheGeometry(8 * _K, 8, 64)),
@@ -108,7 +108,7 @@ class TestConfigs:
             lambda addr: b"\x00" * 64,
         )
         with pytest.raises(ValueError):
-            LinkLeg("nosuch", pair)
+            LinkLeg("nosuch", pair, lambda record: None)
         assert "cable" in LINK_SCHEMES and "raw" in LINK_SCHEMES
 
     def test_percentile(self):

@@ -221,11 +221,12 @@ class TestTunedSimulation:
         # controller switches arms (engine swaps, reshapes included):
         # any epoch-boundary corruption raises DecompressionError, and
         # the recovery layer's checker counts silent escapes.
+        from repro.core.config import CableConfig
         from repro.fault.plan import FaultPlan
 
         plan = TuningPlan(policy="epsilon", warmup_accesses=64, hold_accesses=48)
         config = small_config(
-            tuning=plan, faults=FaultPlan.uniform(0.02, seed=11)
+            tuning=plan, cable=CableConfig(faults=FaultPlan.uniform(0.02, seed=11))
         )
         result = run_memlink("gcc", config)
         assert result.tuning is not None
