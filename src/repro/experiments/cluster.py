@@ -7,9 +7,9 @@ front router; a :class:`~repro.fault.injectors.WorkerFaultInjector`
 SIGKILLs, hangs, and byzantine-slows workers while dozens of
 reconnect-resilient clients drive access batches through the router.
 Every kill must resolve to a recovery: the victim's sessions promote
-from the journal shadows its buddy worker holds (cross-process
-shipping, ``repro/replica/remote``) and clients resume through the
-HELLO/EPOCH resync path.
+on its buddy worker from the backing stores the buddy mirrors
+(cross-process shipping, ``repro/replica/remote``), and clients resume
+through the HELLO/EPOCH resync path.
 
 Reported per row: one fault mode (sigkill / hang / slow) with how many
 faults the injector scheduled and how many recoveries the supervisor's
@@ -91,7 +91,7 @@ def run(scale="default") -> ExperimentResult:
             "Beyond the paper: a consistent-hash router over supervised "
             "worker processes survives hundreds of SIGKILL/hang/slow "
             "faults under live traffic — every victim's sessions resume "
-            "on its buddy via cross-process journal shipping with zero "
+            "on its buddy from cross-process store shipping with zero "
             "silent corruptions and a bounded router p99 blip"
         ),
     )
@@ -110,7 +110,7 @@ def run(scale="default") -> ExperimentResult:
         "silent_corruptions": report.silent_corruptions,
         "audit_failures": report.audit_failures,
         "seeds_shipped": report.seeds_shipped,
-        "records_shipped": report.records_shipped,
+        "store_writes_shipped": report.store_writes_shipped,
         "p99_blip": round(report.p99_blip, 3),
         "p99_blip_bounded": report.p99_blip_bounded,
         "drained_clean": report.drained_clean,

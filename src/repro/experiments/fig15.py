@@ -45,10 +45,7 @@ def run(scale="default", benchmarks: Optional[Sequence[str]] = None) -> Experime
                 replicate=True,
             )
             multi_ratio = multi.overall_ratio
-            if scheme == "gzip":
-                row.extend([single, multi_ratio])
-            else:
-                row.extend([single, multi_ratio])
+            row.extend([single, multi_ratio])
             gains[scheme].append(multi_ratio / single)
         result.rows.append(row)
     result.summary = {

@@ -61,9 +61,7 @@ class LinkLifecycle:
         self.link = link
         #: One durability manager per side (none without durability).
         self.managers: Dict[str, EndpointStateManager] = {}
-        #: The replica slot: an in-process WarmStandby or a cluster
-        #: worker's SessionShipper; only ``pump(force)`` and
-        #: ``reseed()`` are ever called on it.
+        #: The replica slot: an in-process WarmStandby, or None.
         self.replica = None
         #: The in-flight incremental home rebuild, if any.
         self.rebuild: Optional[ResyncSession] = None
@@ -165,8 +163,8 @@ class LinkLifecycle:
         (``install(side, expected)`` returns ``(progress,
         RestoreResult)``) and let the HELLO/EPOCH handshake adjudicate
         it. True when every side is replay-grade; otherwise the caller
-        repairs from the cache arrays (:meth:`_rebuild` or
-        :meth:`_promoted`), which reseeds the replica slot."""
+        repairs from the cache arrays (:meth:`_rebuild`, or the audit
+        in :meth:`failover`), which reseeds the replica slot."""
         layer = self.link.recovery_layer
         handshake = EpochResync(layer.policy, layer.health)
         replay = True
@@ -182,16 +180,6 @@ class LinkLifecycle:
             if handshake.reconnect(restored, expected) != "replay":
                 replay = False
         return replay
-
-    def _promoted(self, hot: bool) -> None:
-        """The tail of every promotion: checkpoint on the promoted image
-        (the epoch bump sends stale resumes through resync-before-grant),
-        audit-repair a warm image, and reseed the slot exactly once (a
-        repairing audit re-baselines by itself) — the old primary
-        rejoins as the new standby."""
-        self.checkpoint()
-        if hot or not self.resync().repairs:
-            self._reseed()
 
     # ------------------------------------------------------------------
     # Crash / restart (repro.state + epoch resync)
@@ -417,13 +405,12 @@ class LinkLifecycle:
         standby's mirror image instead of the persistent store's. A
         *clean* standby (every shipped record applied in order, empty
         backlog) is replay-grade; a lossy one is promoted warm and
-        reconciled by the §III-F auditor (:meth:`_promoted`).
+        reconciled by the §III-F auditor.
         """
-        from repro.replica.standby import WarmStandby
         from repro.state.manager import RestoreResult
 
         replica = self.replica
-        if not isinstance(replica, WarmStandby):
+        if replica is None:
             raise RuntimeError("failover requires arm_replication() first")
         layer = self.link.recovery_layer
         if layer is None:
@@ -449,27 +436,16 @@ class LinkLifecycle:
         lost_total = sum(lost.values())
         layer.health.bump("replication_lost_records", lost_total)
         layer.health.bump("hot_promotions" if hot else "warm_promotions")
-        self._promoted(hot)
+        # Checkpoint on the promoted image (the epoch bump sends stale
+        # resumes through resync-before-grant), audit-repair a warm
+        # image, and reseed the slot exactly once (a repairing audit
+        # re-baselines by itself): the old primary rejoins as the new
+        # standby.
+        self.checkpoint()
+        if hot or not self.resync().repairs:
+            self._reseed()
         if METRICS.enabled:
             METRICS.counter(
                 "replica.promotions_hot" if hot else "replica.promotions_warm"
             ).inc()
         return FailoverOutcome(hot=hot, lost_records=lost_total)
-
-    def shadow(self) -> Dict[str, Dict[str, object]]:
-        """Make this pair a buddy worker's replay target: detach the
-        journal hooks (a shadow must not journal its own replay) and
-        return each side's structures for the standbys to write."""
-        for manager in self.managers.values():
-            manager.detach()
-        return {side: manager.structures for side, manager in self.managers.items()}
-
-    def promote_shadow(self, applied: Dict[str, Progress]) -> None:
-        """Promote a :meth:`shadow` whose standbys reached *applied*
-        progress per side: re-arm the journal hooks, move each epoch
-        past everything the dead primary granted, and run the warm
-        promotion tail (its cache arrays are gone)."""
-        for side, manager in self.managers.items():
-            manager.attach()
-            manager.epoch = max(manager.epoch, applied[side][0])
-        self._promoted(hot=False)

@@ -7,7 +7,8 @@ but raises entropy per flit, so the net effect must be measured, which
 is what the paper's 30.2% toggle-reduction claim is about.
 
 This module serializes payloads to real bit streams (token-exact for
-every engine), cuts them into flits, and counts transitions.
+every engine, through the wire's token codecs), cuts them into flits,
+and counts transitions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, List
 
 from repro.compression.base import CompressedBlock
 from repro.core.payload import FLAG_BITS, Payload, PayloadKind, REFCOUNT_BITS
+from repro.link.wire import encode_diff
 from repro.util.bits import BitWriter, bits_for
 from repro.util.kernels import count_toggles as _count_toggles_kernel
 
@@ -45,147 +47,20 @@ def count_toggles(flits: Iterable[int], previous: int = 0) -> int:
     return _count_toggles_kernel(flits, previous)
 
 
-# ----------------------------------------------------------------------
-# Token-exact serializers per engine
-# ----------------------------------------------------------------------
-
-def _serialize_cpack(block: CompressedBlock, writer: BitWriter) -> None:
-    # Index width recovers from the block's accounting: tokens know
-    # their kind; the configured width is embedded in size_bits, so
-    # derive it from the largest index seen (defaulting to 4 bits).
-    max_index = max(
-        (t[1] for t in block.tokens if t[0] in ("mmmm", "mmxx", "mmmx")),
-        default=0,
-    )
-    idx_bits = max(4, bits_for(max_index + 1))
-    for token in block.tokens:
-        kind = token[0]
-        if kind == "zzzz":
-            writer.write(0b00, 2)
-        elif kind == "xxxx":
-            writer.write(0b01, 2)
-            writer.write(token[1], 32)
-        elif kind == "mmmm":
-            writer.write(0b10, 2)
-            writer.write(token[1], idx_bits)
-        elif kind == "mmxx":
-            writer.write(0b1100, 4)
-            writer.write(token[1], idx_bits)
-            writer.write(token[2], 16)
-        elif kind == "zzzx":
-            writer.write(0b1101, 4)
-            writer.write(token[1], 8)
-        elif kind == "mmmx":
-            writer.write(0b1110, 4)
-            writer.write(token[1], idx_bits)
-            writer.write(token[2], 8)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown CPACK token {kind!r}")
-
-
-def _serialize_lbe(block: CompressedBlock, writer: BitWriter) -> None:
-    max_off = max((t[1] for t in block.tokens if t[0] == "copy"), default=0)
-    off_bits = max(6, bits_for(max_off + 1))
-    for token in block.tokens:
-        kind = token[0]
-        if kind == "zero":
-            writer.write(0b00, 2)
-            writer.write(token[1] - 1, 4)
-        elif kind == "copy":
-            writer.write(0b01, 2)
-            writer.write(token[1], off_bits)
-            writer.write(token[2] - 1, 4)
-        elif kind == "lit":
-            writer.write(0b10, 2)
-            writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 32)
-        elif kind == "byte":
-            writer.write(0b11, 2)
-            writer.write(len(token[1]) - 1, 4)
-            for word in token[1]:
-                writer.write(word, 8)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown LBE token {kind!r}")
-
-
-def _serialize_lzss(block: CompressedBlock, writer: BitWriter) -> None:
-    for token in block.tokens:
-        if token[0] == "lit":
-            writer.write(0, 1)
-            writer.write(token[1], 8)
-        else:
-            writer.write(1, 1)
-            writer.write(token[1], 15)
-            writer.write(token[2] - 3, 8)
-
-
-def _serialize_oracle(block: CompressedBlock, writer: BitWriter) -> None:
-    max_off = max((t[1] for t in block.tokens if t[0] == "copy"), default=0)
-    off_bits = max(1, bits_for(max_off + 1))
-    for token in block.tokens:
-        if token[0] == "lit":
-            writer.write(0, 1)
-            writer.write(token[1], 8)
-        elif token[0] == "zero":
-            writer.write(0b10, 2)
-            writer.write(token[1] - 1, 6)
-        else:
-            writer.write(0b11, 2)
-            writer.write(token[1], off_bits)
-            writer.write(token[2] - 1, 6)
-
-
-def _serialize_zero(block: CompressedBlock, writer: BitWriter) -> None:
-    word_count, nonzero = block.tokens
-    nonzero_map = dict(nonzero)
-    for i in range(word_count):
-        if i in nonzero_map:
-            writer.write(1, 1)
-        else:
-            writer.write(0, 1)
-    for __, value in nonzero:
-        writer.write(value, 32)
-
-
-def _serialize_bdi(block: CompressedBlock, writer: BitWriter) -> None:
-    tokens = block.tokens
-    layouts = ["zeros", "rep", "b8d1", "b8d2", "b8d4", "b4d1", "b4d2", "b2d1", "raw"]
-    writer.write(layouts.index(tokens[0]), 4)
-    if tokens[0] == "raw":
-        writer.write_bytes(tokens[1])
-        return
-    if tokens[0] == "zeros":
-        writer.write(0, 8)
-        return
-    if tokens[0] == "rep":
-        writer.write(tokens[1] & ((1 << 64) - 1), 64)
-        return
-    layout, base, mask, deltas, __ = tokens
-    delta_bytes = {"b8d1": 1, "b8d2": 2, "b8d4": 4, "b4d1": 1, "b4d2": 2, "b2d1": 1}[layout]
-    base_bytes = {"b8d1": 8, "b8d2": 8, "b8d4": 8, "b4d1": 4, "b4d2": 4, "b2d1": 2}[layout]
-    writer.write(base & ((1 << (base_bytes * 8)) - 1), base_bytes * 8)
-    for use_base in mask:
-        writer.write(1 if use_base else 0, 1)
-    for delta in deltas:
-        writer.write(delta & ((1 << (delta_bytes * 8)) - 1), delta_bytes * 8)
-
-
-_SERIALIZERS = {
-    "cpack": _serialize_cpack,
-    "lbe": _serialize_lbe,
-    "gzip": _serialize_lzss,
-    "oracle": _serialize_oracle,
-    "zero": _serialize_zero,
-    "bdi": _serialize_bdi,
-}
-
-
-def _serializer_for(algorithm: str):
-    for prefix, fn in _SERIALIZERS.items():
-        if algorithm.startswith(prefix):
-            return fn
-    raise ValueError(f"no serializer for algorithm {algorithm!r}")
+def _diff_width(block: CompressedBlock) -> int:
+    """The DIFF's variable field width, recovered from the tokens: the
+    largest copy offset or dictionary index, floored at 6 bits (LBE),
+    4 (CPACK) or 1 (ORACLE); 0 for the fixed-width engines."""
+    algorithm, tokens = block.algorithm, block.tokens
+    if algorithm.startswith("cpack"):
+        largest = max(
+            (t[1] for t in tokens if t[0] in ("mmmm", "mmxx", "mmmx")), default=0
+        )
+        return max(4, bits_for(largest + 1))
+    if algorithm.startswith(("lbe", "oracle")):
+        largest = max((t[1] for t in tokens if t[0] == "copy"), default=0)
+        return max(6 if algorithm.startswith("lbe") else 1, bits_for(largest + 1))
+    return 0
 
 
 def payload_bitstream(payload: Payload) -> BitWriter:
@@ -199,7 +74,8 @@ def payload_bitstream(payload: Payload) -> BitWriter:
     writer.write(len(payload.remote_lids), REFCOUNT_BITS)
     for lid in payload.remote_lids:
         writer.write(int(lid) & ((1 << payload.remotelid_bits) - 1), payload.remotelid_bits)
-    _serializer_for(payload.block.algorithm)(payload.block, writer)
+    block = payload.block
+    encode_diff(block.algorithm, block.tokens, writer, _diff_width(block))
     return writer
 
 

@@ -260,7 +260,7 @@ def _signed(value: int, bits: int) -> int:
     return value
 
 
-def _bdi_encode(tokens, writer: BitWriter, line_bytes: int) -> None:
+def _bdi_encode(tokens, writer: BitWriter) -> None:
     layout = tokens[0]
     writer.write(_BDI_LAYOUTS.index(layout), 4)
     if layout == "raw":
@@ -381,6 +381,29 @@ def _oracle_dp_decode(reader: BitReader, off_bits: int, line_bytes: int):
     return tokens
 
 
+def encode_diff(algorithm: str, tokens, writer: BitWriter, width: int = 0) -> None:
+    """Write one block's DIFF tokens with *algorithm*'s token codec.
+
+    *width* is the engine's one variable field — the LBE and ORACLE
+    copy offset, the CPACK dictionary index — and is ignored by the
+    fixed-width engines (zero, BDI, LZSS).
+    """
+    if algorithm.startswith("lbe"):
+        _lbe_encode(tokens, writer, width)
+    elif algorithm.startswith("cpack"):
+        _cpack_encode(tokens, writer, width)
+    elif algorithm.startswith("zero"):
+        _zero_encode(tokens, writer)
+    elif algorithm.startswith("bdi"):
+        _bdi_encode(tokens, writer)
+    elif algorithm.startswith("gzip"):
+        _lzss_encode(tokens, writer)
+    elif algorithm.startswith("oracle"):
+        _oracle_dp_encode(tokens, writer, width)
+    else:
+        raise ValueError(f"no wire codec for engine {algorithm!r}")
+
+
 # ======================================================================
 # Payload-level codec
 # ======================================================================
@@ -400,20 +423,15 @@ def encode_payload(payload: Payload, fmt: WireFormat = WireFormat()) -> BitWrite
     block = payload.block
     algorithm = block.algorithm
     if algorithm.startswith("lbe"):
-        _lbe_encode(block.tokens, writer, fmt.lbe_offset_bits(refcount))
+        width = fmt.lbe_offset_bits(refcount)
     elif algorithm.startswith("cpack"):
-        _cpack_encode(block.tokens, writer, fmt.cpack_index_bits(refcount))
-    elif algorithm.startswith("zero"):
-        _zero_encode(block.tokens, writer)
-    elif algorithm.startswith("bdi"):
-        _bdi_encode(block.tokens, writer, fmt.line_bytes)
-    elif algorithm.startswith("gzip"):
-        _lzss_encode(block.tokens, writer)
+        width = fmt.cpack_index_bits(refcount)
     elif algorithm.startswith("oracle"):
         writer.write(0, 1)  # hybrid discriminator: 0 = exact DP
-        _oracle_dp_encode(block.tokens, writer, fmt.oracle_offset_bits(refcount))
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"no wire codec for engine {algorithm!r}")
+        width = fmt.oracle_offset_bits(refcount)
+    else:
+        width = 0
+    encode_diff(algorithm, block.tokens, writer, width)
     return writer
 
 

@@ -178,54 +178,30 @@ COUNTER_PREFIXES = [
 ]
 
 
-def render_tune_section(registry: MetricsRegistry) -> str:
-    """The adaptive-tuning summary: ``tune.*`` gauges and counters.
+def render_prefix_section(registry: MetricsRegistry, prefix: str, title: str) -> str:
+    """One metric family's summary: the nonzero counters and every
+    gauge whose name starts with *prefix*, under *title*.
 
-    Empty string when no controller ran (the common case), so callers
-    can print it unconditionally.
+    Empty string when nothing under *prefix* was recorded (the common
+    case for ``tune.`` and ``tier.``), so callers can print it
+    unconditionally.
     """
     counters = [
         (name, counter.value)
         for name, counter in sorted(registry.counters.items())
-        if name.startswith("tune.") and counter.value
+        if name.startswith(prefix) and counter.value
     ]
     gauges = [
         (name, gauge.value)
         for name, gauge in sorted(registry.gauges.items())
-        if name.startswith("tune.")
+        if name.startswith(prefix)
     ]
     if not counters and not gauges:
         return ""
     rows = [(name, f"{value:,}") for name, value in counters]
     rows += [(name, f"{value:g}") for name, value in gauges]
     width = max(len(name) for name, _ in rows)
-    lines = ["adaptive tuning:"]
-    lines += [f"  {name.ljust(width)}  {text}" for name, text in rows]
-    return "\n".join(lines)
-
-
-def render_tier_section(registry: MetricsRegistry) -> str:
-    """The memory-tier summary: ``tier.*`` gauges and counters.
-
-    Empty string when no tier scenario ran, so callers can print it
-    unconditionally (mirrors :func:`render_tune_section`).
-    """
-    counters = [
-        (name, counter.value)
-        for name, counter in sorted(registry.counters.items())
-        if name.startswith("tier.") and counter.value
-    ]
-    gauges = [
-        (name, gauge.value)
-        for name, gauge in sorted(registry.gauges.items())
-        if name.startswith("tier.")
-    ]
-    if not counters and not gauges:
-        return ""
-    rows = [(name, f"{value:,}") for name, value in counters]
-    rows += [(name, f"{value:g}") for name, value in gauges]
-    width = max(len(name) for name, _ in rows)
-    lines = ["memory tiers:"]
+    lines = [f"{title}:"]
     lines += [f"  {name.ljust(width)}  {text}" for name, text in rows]
     return "\n".join(lines)
 
@@ -339,14 +315,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.counters:
         print()
         print(render_counter_table(registry, COUNTER_PREFIXES))
-    tuning = render_tune_section(registry)
-    if tuning:
-        print()
-        print(tuning)
-    tiers = render_tier_section(registry)
-    if tiers:
-        print()
-        print(tiers)
+    for prefix, title in (("tune.", "adaptive tuning"), ("tier.", "memory tiers")):
+        section = render_prefix_section(registry, prefix, title)
+        if section:
+            print()
+            print(section)
     if args.prometheus:
         pathlib.Path(args.prometheus).write_text(render_prometheus(registry))
         print(f"wrote Prometheus text to {args.prometheus}")

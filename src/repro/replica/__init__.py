@@ -11,9 +11,11 @@ mid-traffic when the primary dies — the old primary then rejoins as
 the new standby.
 
 One :class:`JournalShipper` per endpoint journal cuts the batches for
-both senders: :class:`WarmStandby` (an in-process standby) and
-:class:`SessionShipper` (a buddy worker's, across a byte stream).
-Either one occupies a link pair's single ``replica`` slot.
+:class:`WarmStandby`, the in-process standby and the only occupant of
+a link pair's ``replica`` slot. Across a process boundary a cluster
+buddy worker mirrors only each session's backing store
+(:class:`SessionShipper` → :class:`StandbySessionHost`): the metadata
+means nothing without the cache arrays that die with the worker.
 
 Layering: this package depends on :mod:`repro.state` and
 :mod:`repro.core.errors` only. The link pair's lifecycle

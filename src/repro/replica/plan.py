@@ -3,8 +3,8 @@
 Pure-stdlib leaf module (the :mod:`repro.fault.plan` pattern): frozen,
 hashable dataclasses that experiment sweeps can embed in memoization
 keys. The policy is turned into behaviour by
-:class:`repro.replica.shipper.JournalShipper` (for the in-process
-standby and the buddy worker alike); the kill schedule is turned into
+:class:`repro.replica.shipper.JournalShipper` (the in-process
+standby's batch cut); the kill schedule is turned into
 deterministic RNG streams by
 :class:`repro.fault.injectors.FailoverInjector`.
 """

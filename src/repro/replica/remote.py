@@ -1,91 +1,68 @@
-"""Cross-process replication: journal batches over a byte stream.
+"""Cross-process replication: a buddy worker mirrors session stores.
 
-:class:`~repro.replica.standby.WarmStandby` feeds one endpoint's
-journal into an in-process :class:`~repro.replica.standby.
-StandbyReplica`. This module stretches the same channel across a
-process boundary so a *buddy worker* can hold warm standbys for every
-session a sibling worker hosts — the substrate of the cluster layer's
-cross-process failover (:mod:`repro.serve.cluster`).
+A cluster worker's sessions must survive its process. What a promoted
+session needs from the dead worker is its *backing store*: reads are
+answered from the written-back lines (plus the deterministic synthetic
+fallback), so the store is what data correctness rests on. CABLE's
+endpoint metadata is not worth shipping: it only means something next
+to the cache arrays it indexes — the WMT shadows the remote cache's
+tag layout (§III-D) and the hash tables hold the LineIDs of resident
+SHARED lines (§III-F) — and those arrays die with the worker. A
+metadata image replayed without them would be audit-repaired away at
+promotion anyway.
 
 Primary side, per session, a :class:`SessionShipper`:
 
-- runs one :class:`~repro.replica.shipper.JournalShipper` per endpoint
-  journal — the same tee, backlog and batch cut as the in-process
-  standby, in the same ``LinkLifecycle.replica`` slot (one journal
-  tee per session) — and sends each CRC-guarded ``CBRB`` batch as a
-  ``SHIP_BATCH`` stream record on the buddy connection;
-- tees backing-store writes (``SessionState.on_store_write``) into
-  ``SHIP_STORE`` records — post-promotion the buddy must serve the
-  *written* data, not the deterministic synthetic original;
-- seeds (and re-seeds on a buddy change or after a journal-bypassing
-  bulk mutation) with a ``SHIP_SEED`` carrying a live snapshot cut
-  per side plus the store contents.
+- seeds the buddy with a ``SHIP_SEED`` of ``(tag, store)`` when the
+  session is armed and whenever its worker rebinds to a new buddy;
+- tees backing-store writes (``SessionState.on_store_write``) into one
+  ``SHIP_STORE`` record per write-back.
 
-Buddy side, a :class:`StandbySessionHost` consumes the stream into
-*shadow sessions*: full :class:`repro.serve.session.Session` objects,
-never attached to a transport, whose journal hooks are detached so
-batch replay through :func:`repro.state.manager.apply_record` is the
-only writer. Damage keeps the single-process semantics — a batch that
-fails its checksum or sequence check flips that side to
-``catching_up`` and the host asks for a snapshot over the back
-channel (``SHIP_CATCHUP_REQ``); nothing is ever half-applied.
+Buddy side, a :class:`StandbySessionHost` keeps each sibling session's
+store by tag. A promotion builds a fresh
+:class:`repro.serve.session.Session` holding the shipped store. Its
+journal is empty, so its progress is the fresh ``(E0, 0)``: the owning
+client's resume echo mismatches and rides resync-before-grant, and an
+echo of exactly ``(E0, 0)`` is granted without resync — safe, because a
+fresh session holds no metadata the two sides could disagree about.
 
-Promotion is deliberately *warm*, never hot: the shadow replays
-metadata, but the dead worker's cache data arrays are gone, so
-:meth:`~repro.link.lifecycle.LinkLifecycle.promote_shadow` runs the
-same warm tail as an in-process failover — checkpoint past every epoch
-the dead primary ever granted, audit-repair the metadata against the
-(empty) caches, reseed — and the owning client reconnects through the
-stale-HELLO resync path. Data correctness never depended on the
-caches — reads are answered from the shipped store (plus the
-synthetic fallback), which is why the store tee is part of the
-replication contract.
+``SHIP_MARK``/``SHIP_MARK_ACK`` is a delivery barrier: the buddy echoes
+the mark once every record sent before it has been applied.
 
-Every SHIP payload carries its own CRC32 trailer on top of the inner
-codecs' checksums, so a torn record is discarded whole and typed
-(:class:`~repro.core.errors.BatchIntegrityError`), never half-parsed.
+Every SHIP payload carries its own CRC32 trailer, so a torn record is
+counted and discarded whole (:class:`~repro.core.errors.
+BatchIntegrityError`), never half-parsed.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.errors import BatchIntegrityError, ReplicationError
+from repro.core.errors import BatchIntegrityError
 from repro.obs.registry import METRICS
-from repro.replica.plan import ReplicationPolicy
-from repro.replica.shipper import SHIPPER_STATS, JournalShipper
-from repro.replica.standby import StandbyReplica
 
 # Stream-record channels of the replica link (disjoint from the serve
 # protocol's 0x01-0x09 — the replica connection is separate, but keep
 # the spaces distinct so a crossed wire fails loudly).
 SHIP_HELLO = 0x20  # shipper → host: who is shipping (worker id)
-SHIP_SEED = 0x21  # shipper → host: full state baseline for one tag
-SHIP_BATCH = 0x22  # shipper → host: one CBRB journal batch
+SHIP_SEED = 0x21  # shipper → host: one tag's whole store
 SHIP_STORE = 0x23  # shipper → host: one backing-store write
-SHIP_CATCHUP = 0x24  # shipper → host: snapshot answering a request
-SHIP_CATCHUP_REQ = 0x25  # host → shipper: a side needs catch-up
 SHIP_MARK = 0x26  # shipper → host: delivery barrier (echo me)
 SHIP_MARK_ACK = 0x27  # host → shipper: everything before the mark landed
 
-#: Replica-stream frames carry whole snapshots; raise the reassembly
-#: bound accordingly (the serve protocol keeps its tight default).
+#: Seeds carry whole stores; raise the reassembly bound accordingly
+#: (the serve protocol keeps its tight default).
 SHIP_MAX_FRAME_BYTES = 1 << 22
 
-SIDES = ("home", "remote")
-_SIDE_CODE = {name: code for code, name in enumerate(SIDES)}
+#: Counters every :class:`SessionShipper` keeps (summed per worker).
+SHIP_STATS = ("seeds", "bytes_shipped", "store_writes_shipped")
 
 _HELLO = struct.Struct("<I")  # worker id
 _SEED_HDR = struct.Struct("<QI")  # tag, store entry count
 _SEED_STORE = struct.Struct("<QI")  # addr, data length
-_SEED_SIDE = struct.Struct("<III")  # epoch, records, blob length
-_BATCH_HDR = struct.Struct("<QB")  # tag, side
 _STORE_HDR = struct.Struct("<QQI")  # tag, addr, data length
-_CATCHUP_HDR = struct.Struct("<QBIII")  # tag, side, epoch, records, next_seq
-_REQ_HDR = struct.Struct("<QB")  # tag, side
 _MARK = struct.Struct("<Q")  # barrier nonce
 _CRC = struct.Struct("<I")
 
@@ -107,12 +84,6 @@ def _unseal(payload: bytes, what: str) -> bytes:
     return body
 
 
-def _side_name(code: int, what: str) -> str:
-    if code >= len(SIDES):
-        raise BatchIntegrityError(f"{what} names unknown side {code}")
-    return SIDES[code]
-
-
 # ----------------------------------------------------------------------
 # Codecs (each returns the *payload*; the caller wraps it in a stream
 # record with the matching channel)
@@ -129,26 +100,15 @@ def decode_hello(payload: bytes) -> int:
     return worker_id
 
 
-def encode_seed(
-    tag: int,
-    store: Dict[int, bytes],
-    sides: Dict[str, Tuple[Tuple[int, int], bytes]],
-) -> bytes:
-    """*sides* maps side name → ((epoch, records), snapshot blob)."""
+def encode_seed(tag: int, store: Dict[int, bytes]) -> bytes:
     parts = [_SEED_HDR.pack(tag, len(store))]
     for addr, data in store.items():
         parts.append(_SEED_STORE.pack(addr, len(data)))
         parts.append(data)
-    for side in SIDES:
-        (epoch, records), blob = sides[side]
-        parts.append(_SEED_SIDE.pack(epoch, records, len(blob)))
-        parts.append(blob)
     return _seal(b"".join(parts))
 
 
-def decode_seed(
-    payload: bytes,
-) -> Tuple[int, Dict[int, bytes], Dict[str, Tuple[Tuple[int, int], bytes]]]:
+def decode_seed(payload: bytes) -> Tuple[int, Dict[int, bytes]]:
     body = _unseal(payload, "SHIP_SEED")
     try:
         tag, count = _SEED_HDR.unpack_from(body)
@@ -161,32 +121,11 @@ def decode_seed(
             if len(store[addr]) != length:
                 raise BatchIntegrityError("SHIP_SEED truncated in store data")
             offset += length
-        sides: Dict[str, Tuple[Tuple[int, int], bytes]] = {}
-        for side in SIDES:
-            epoch, records, length = _SEED_SIDE.unpack_from(body, offset)
-            offset += _SEED_SIDE.size
-            blob = body[offset : offset + length]
-            if len(blob) != length:
-                raise BatchIntegrityError("SHIP_SEED truncated in snapshot")
-            offset += length
-            sides[side] = ((epoch, records), blob)
         if offset != len(body):
             raise BatchIntegrityError("SHIP_SEED has trailing bytes")
     except struct.error as exc:
         raise BatchIntegrityError(f"SHIP_SEED unparseable: {exc}") from exc
-    return tag, store, sides
-
-
-def encode_ship_batch(tag: int, side: str, blob: bytes) -> bytes:
-    return _seal(_BATCH_HDR.pack(tag, _SIDE_CODE[side]) + blob)
-
-
-def decode_ship_batch(payload: bytes) -> Tuple[int, str, bytes]:
-    body = _unseal(payload, "SHIP_BATCH")
-    if len(body) < _BATCH_HDR.size:
-        raise BatchIntegrityError("SHIP_BATCH too short")
-    tag, side = _BATCH_HDR.unpack_from(body)
-    return tag, _side_name(side, "SHIP_BATCH"), body[_BATCH_HDR.size :]
+    return tag, store
 
 
 def encode_ship_store(tag: int, addr: int, data: bytes) -> bytes:
@@ -202,45 +141,6 @@ def decode_ship_store(payload: bytes) -> Tuple[int, int, bytes]:
     if len(data) != length:
         raise BatchIntegrityError("SHIP_STORE data length mismatch")
     return tag, addr, data
-
-
-def encode_ship_catchup(
-    tag: int,
-    side: str,
-    progress: Tuple[int, int],
-    next_seq: int,
-    blob: bytes,
-) -> bytes:
-    header = _CATCHUP_HDR.pack(
-        tag, _SIDE_CODE[side], progress[0], progress[1], next_seq
-    )
-    return _seal(header + blob)
-
-
-def decode_ship_catchup(
-    payload: bytes,
-) -> Tuple[int, str, Tuple[int, int], int, bytes]:
-    body = _unseal(payload, "SHIP_CATCHUP")
-    if len(body) < _CATCHUP_HDR.size:
-        raise BatchIntegrityError("SHIP_CATCHUP too short")
-    tag, side, epoch, records, next_seq = _CATCHUP_HDR.unpack_from(body)
-    return (
-        tag,
-        _side_name(side, "SHIP_CATCHUP"),
-        (epoch, records),
-        next_seq,
-        body[_CATCHUP_HDR.size :],
-    )
-
-
-def encode_catchup_req(tag: int, side: str) -> bytes:
-    return _seal(_REQ_HDR.pack(tag, _SIDE_CODE[side]))
-
-
-def decode_catchup_req(payload: bytes) -> Tuple[int, str]:
-    body = _unseal(payload, "SHIP_CATCHUP_REQ")
-    tag, side = _REQ_HDR.unpack_from(body)
-    return tag, _side_name(side, "SHIP_CATCHUP_REQ")
 
 
 def encode_mark(nonce: int) -> bytes:
@@ -259,41 +159,18 @@ def decode_mark(payload: bytes) -> int:
 
 
 class SessionShipper:
-    """Ships one session's journal + store writes to a buddy worker.
+    """Mirrors one session's backing store on a buddy worker.
 
     *send* is a callable taking ``(channel, payload bytes)`` — the
-    cluster worker binds it to the buddy connection's sender. The
-    shipper occupies the session pair's replica slot
-    (``LinkLifecycle.replica``), so the serve worker's flush cadence,
-    ``apply_config`` and the drain reach :meth:`pump`, and a
-    journal-bypassing bulk mutation re-seeds the buddy.
+    cluster worker binds it to the buddy connection's sender.
     """
 
-    def __init__(self, session, send, policy: Optional[ReplicationPolicy] = None) -> None:
-        state = session.state
-        lifecycle = state.pair.lifecycle
-        self.state = state
+    def __init__(self, session, send) -> None:
+        self.state = session.state
         self.send = send
-        if not lifecycle.managers:
-            raise ReplicationError("shipping requires durability")
-        self.stats = dict.fromkeys(
-            SHIPPER_STATS + ("seeds", "bytes_shipped", "store_writes_shipped"), 0
-        )
-        policy = policy or ReplicationPolicy()
-        self.shippers = {
-            side: JournalShipper(
-                manager, policy, partial(self._ship_batch, side), self.stats
-            )
-            for side, manager in lifecycle.managers.items()
-        }
-        state.on_store_write = self._on_store_write
-        lifecycle.replica = self
-        self.reseed()
-
-    def _ship_batch(self, side: str, blob: bytes) -> None:
-        self._emit(
-            SHIP_BATCH, encode_ship_batch(self.state.client_tag, side, blob)
-        )
+        self.stats = dict.fromkeys(SHIP_STATS, 0)
+        self.state.on_store_write = self._on_store_write
+        self._seed()
 
     def _on_store_write(self, addr: int, data: bytes) -> None:
         self._emit(
@@ -305,46 +182,16 @@ class SessionShipper:
         self.send(channel, payload)
         self.stats["bytes_shipped"] += len(payload)
 
-    # -- lifecycle -----------------------------------------------------
-
-    def reseed(self) -> None:
-        """Ship a full baseline (snapshot per side + store contents)
-        and restart the batch sequences — at arm time, whenever the
-        buddy changes, and after a journal-bypassing bulk mutation."""
-        sides = {}
-        for side, shipper in self.shippers.items():
-            shipper.restart()
-            sides[side] = shipper.snapshot()
-        self._emit(
-            SHIP_SEED,
-            encode_seed(self.state.client_tag, self.state.store, sides),
-        )
+    def _seed(self) -> None:
+        self._emit(SHIP_SEED, encode_seed(self.state.client_tag, self.state.store))
         self.stats["seeds"] += 1
         if METRICS.enabled:
             METRICS.counter("cluster.seeds_shipped").inc()
 
     def rebind(self, send) -> None:
-        """Point at a new buddy connection and re-baseline."""
+        """Point at a new buddy connection and re-seed it."""
         self.send = send
-        self.reseed()
-
-    # -- shipping ------------------------------------------------------
-
-    def pump(self, force: bool = False) -> int:
-        """Ship both journals' backlogs; returns batches shipped."""
-        return sum(shipper.pump(force) for shipper in self.shippers.values())
-
-    def catch_up(self, side: str) -> None:
-        """Answer a host catch-up request with a live snapshot cut."""
-        progress, next_seq, blob = self.shippers[side].catch_up()
-        self._emit(
-            SHIP_CATCHUP,
-            encode_ship_catchup(
-                self.state.client_tag, side, progress, next_seq, blob
-            ),
-        )
-        if METRICS.enabled:
-            METRICS.counter("cluster.catch_ups_shipped").inc()
+        self._seed()
 
 
 # ----------------------------------------------------------------------
@@ -352,185 +199,65 @@ class SessionShipper:
 # ----------------------------------------------------------------------
 
 
-class _Shadow:
-    """One shadow session: a detached Session plus per-side standbys."""
-
-    __slots__ = ("tag", "source", "session", "standbys", "requested")
-
-    def __init__(self, tag: int, source: int, session, standbys) -> None:
-        self.tag = tag
-        self.source = source  # shipping worker's id
-        self.session = session
-        self.standbys: Dict[str, StandbyReplica] = standbys
-        self.requested: set = set()  # sides with a catch-up in flight
-
-
 class StandbySessionHost:
-    """Holds warm shadow sessions for sibling workers' tags.
+    """Holds sibling workers' session stores until a promotion.
 
     One host serves every inbound replica connection of a worker; each
     connection is identified by the shipper's ``SHIP_HELLO`` worker id
     so :meth:`promote_worker` can promote exactly the dead sibling's
-    shadows. *request_catchup* is a callable ``(source_worker, channel,
-    payload)`` the owner binds to the connection's back channel.
+    sessions.
     """
 
-    def __init__(self, config, request_catchup=None) -> None:
+    def __init__(self, config) -> None:
         self.config = config
-        self.request_catchup = request_catchup
-        self.shadows: Dict[int, _Shadow] = {}  # tag → shadow
-        self.stats = {
-            "seeds_applied": 0,
-            "batches_applied": 0,
-            "records_applied": 0,
-            "store_writes_applied": 0,
-            "integrity_failures": 0,
-            "gaps_detected": 0,
-            "catch_up_requests": 0,
-            "catch_ups_applied": 0,
-            "promotions": 0,
-        }
-
-    # -- shadow construction -------------------------------------------
-
-    def _new_shadow(self, tag: int, source: int) -> _Shadow:
-        from repro.serve.session import Session
-
-        session = Session(0, tag, self.config)
-        standbys = {
-            side: StandbyReplica(f"{tag:#x}-{side}", structures, (0, 0))
-            for side, structures in session.pair.lifecycle.shadow().items()
-        }
-        return _Shadow(tag, source, session, standbys)
-
-    # -- stream dispatch -----------------------------------------------
-
-    def handle_record(
-        self, source: int, channel: int, payload: bytes
-    ) -> None:
-        """Apply one replica-stream record from worker *source*.
-
-        A :class:`~repro.core.errors.BatchIntegrityError` from the
-        envelope CRC is absorbed per message kind: a torn batch flips
-        its side to catch-up; a torn seed/store record is dropped and
-        counted — nothing is ever half-applied.
-        """
-        if channel == SHIP_SEED:
-            self._apply_seed(source, payload)
-        elif channel == SHIP_BATCH:
-            self._apply_batch(source, payload)
-        elif channel == SHIP_STORE:
-            self._apply_store(payload)
-        elif channel == SHIP_CATCHUP:
-            self._apply_catchup(payload)
-
-    def _apply_seed(self, source: int, payload: bytes) -> None:
-        try:
-            tag, store, sides = decode_seed(payload)
-        except BatchIntegrityError:
-            self.stats["integrity_failures"] += 1
-            return  # no tag to request catch-up for; next seed heals
-        shadow = self._new_shadow(tag, source)
-        for side, (progress, blob) in sides.items():
-            shadow.standbys[side].catch_up(blob, progress, 0)
-        shadow.session.state.store.clear()
-        shadow.session.state.store.update(store)
-        self.shadows[tag] = shadow
-        self.stats["seeds_applied"] += 1
-
-    def _apply_batch(self, source: int, payload: bytes) -> None:
-        try:
-            tag, side, blob = decode_ship_batch(payload)
-        except BatchIntegrityError:
-            self.stats["integrity_failures"] += 1
-            return
-        shadow = self.shadows.get(tag)
-        if shadow is None:
-            return  # batch raced ahead of its seed; seed will rebase
-        standby = shadow.standbys[side]
-        try:
-            applied = standby.consume(blob)
-        except BatchIntegrityError:
-            self.stats["integrity_failures"] += 1
-            self._request(shadow, side)
-            return
-        except ReplicationError:  # gap, or already awaiting catch-up
-            self.stats["gaps_detected"] += 1
-            self._request(shadow, side)
-            return
-        self.stats["batches_applied"] += 1
-        self.stats["records_applied"] += applied
-
-    def _apply_store(self, payload: bytes) -> None:
-        try:
-            tag, addr, data = decode_ship_store(payload)
-        except BatchIntegrityError:
-            self.stats["integrity_failures"] += 1
-            return
-        shadow = self.shadows.get(tag)
-        if shadow is None:
-            return
-        shadow.session.state.store[addr] = data
-        self.stats["store_writes_applied"] += 1
-
-    def _apply_catchup(self, payload: bytes) -> None:
-        try:
-            tag, side, progress, next_seq, blob = decode_ship_catchup(payload)
-        except BatchIntegrityError:
-            self.stats["integrity_failures"] += 1
-            return
-        shadow = self.shadows.get(tag)
-        if shadow is None:
-            return
-        shadow.standbys[side].catch_up(blob, progress, next_seq)
-        shadow.requested.discard(side)
-        self.stats["catch_ups_applied"] += 1
-
-    def _request(self, shadow: _Shadow, side: str) -> None:
-        if side in shadow.requested or self.request_catchup is None:
-            return
-        shadow.requested.add(side)
-        self.stats["catch_up_requests"] += 1
-        self.request_catchup(
-            shadow.source,
-            SHIP_CATCHUP_REQ,
-            encode_catchup_req(shadow.tag, side),
+        #: tag → (shipping worker id, mirrored store)
+        self.shadows: Dict[int, Tuple[int, Dict[int, bytes]]] = {}
+        self.stats = dict.fromkeys(
+            ("seeds_applied", "store_writes_applied", "integrity_failures", "promotions"),
+            0,
         )
 
-    # -- connection lifecycle ------------------------------------------
+    def handle_record(self, source: int, channel: int, payload: bytes) -> None:
+        """Apply one replica-stream record from worker *source*; one
+        that fails its CRC is counted and dropped whole."""
+        try:
+            if channel == SHIP_SEED:
+                tag, store = decode_seed(payload)
+                self.shadows[tag] = (source, store)
+                self.stats["seeds_applied"] += 1
+            elif channel == SHIP_STORE:
+                tag, addr, data = decode_ship_store(payload)
+                shadow = self.shadows.get(tag)
+                if shadow is not None:
+                    shadow[1][addr] = data
+                    self.stats["store_writes_applied"] += 1
+        except BatchIntegrityError:
+            self.stats["integrity_failures"] += 1
+
+    def _tags_from(self, source: int) -> List[int]:
+        return [tag for tag, (owner, _) in self.shadows.items() if owner == source]
 
     def reset_source(self, source: int) -> None:
-        """A worker reconnected (new HELLO): its old shadows are stale
+        """A worker reconnected (new HELLO): its old stores are stale
         — every live session re-seeds on the fresh connection."""
-        for tag in [
-            t for t, s in self.shadows.items() if s.source == source
-        ]:
+        for tag in self._tags_from(source):
             del self.shadows[tag]
 
-    # -- promotion -----------------------------------------------------
-
     def promote_worker(self, source: int) -> List:
-        """Promote every shadow shipped by dead worker *source*.
+        """Promote every session shipped by dead worker *source*.
 
-        Returns the promoted :class:`~repro.serve.session.Session`
-        objects, detached and ready for
-        :meth:`~repro.serve.session.SessionManager.adopt`. Each pair
-        is promoted warm (:meth:`~repro.link.lifecycle.LinkLifecycle.
-        promote_shadow`) with an epoch that dominates everything the
-        dead primary ever granted: a reconnecting client's HELLO is
-        guaranteed stale and rides the resync-before-grant path.
+        Returns fresh :class:`~repro.serve.session.Session` objects
+        holding the shipped stores, detached and ready for
+        :meth:`~repro.serve.session.SessionManager.adopt`.
         """
+        from repro.serve.session import Session
+
         promoted = []
-        for tag in [
-            t for t, s in self.shadows.items() if s.source == source
-        ]:
-            shadow = self.shadows.pop(tag)
-            applied = {}
-            for side, standby in shadow.standbys.items():
-                applied[side] = standby.applied_progress
-                standby.promote()
-            shadow.session.pair.lifecycle.promote_shadow(applied)
-            promoted.append(shadow.session)
+        for tag in self._tags_from(source):
+            _, store = self.shadows.pop(tag)
+            session = Session(0, tag, self.config)
+            session.state.store.update(store)
+            promoted.append(session)
             self.stats["promotions"] += 1
             if METRICS.enabled:
                 METRICS.counter("cluster.shadow_promotions").inc()

@@ -1,12 +1,8 @@
 """The journal shipper: one endpoint journal -> CBRB batches -> deliver.
 
-Both replication senders run on one :class:`JournalShipper` per
-endpoint journal: the in-process
-:class:`~repro.replica.standby.WarmStandby` hands each batch straight
-to a mirror structure set, and the cross-process
-:class:`~repro.replica.remote.SessionShipper` wraps it in a
-``SHIP_BATCH`` record for a buddy worker. The shipper owns what the
-two have in common:
+The in-process :class:`~repro.replica.standby.WarmStandby` runs one
+:class:`JournalShipper` per endpoint journal and hands each batch
+straight to a mirror structure set. The shipper owns:
 
 - the append tee: it subscribes to the journal's ``on_append``, so
   shipping never depends on the journal's retention window (a record
@@ -15,8 +11,7 @@ two have in common:
   ``ReplicationPolicy.max_lag_records`` it cuts checksummed,
   sequence-numbered batches and hands each to *deliver* — the lag
   bound is structural, not best-effort;
-- the live snapshot cut that a catch-up (or a buddy worker's seed)
-  ships.
+- the live snapshot cut that a catch-up ships.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ from repro.state.journal import JournalRecord
 from repro.state.manager import EndpointStateManager
 from repro.state.snapshot import write_snapshot
 
-#: Counters a shipper accumulates into its sender's stats dict, shared
-#: by every journal of one sender (``lag_peak`` is a max, the rest
-#: are sums).
+#: Counters a shipper accumulates into its standby's stats dict,
+#: shared by every journal of one standby (``lag_peak`` is a max, the
+#: rest are sums).
 SHIPPER_STATS = ("batches_shipped", "records_shipped", "catch_ups", "lag_peak")
 
 
@@ -118,13 +113,14 @@ class JournalShipper:
         self.drop_backlog()
         self.next_seq = 0
 
-    def snapshot(self) -> Tuple[Tuple[int, int], bytes]:
-        """Cut ``(progress, snapshot blob)`` from the *live* structures.
+    def catch_up(self) -> Tuple[Tuple[int, int], int, bytes]:
+        """Resynchronization cut for a receiver that refused a batch:
+        ``(progress, next batch seq, snapshot blob)``.
 
-        Their state already includes every journaled record, shipped or
-        still pending, so the backlog is dropped too: shipping it
-        afterwards would double-apply its effects on top of the
-        snapshot.
+        The snapshot is cut from the *live* structures, whose state
+        already includes every journaled record, shipped or still
+        pending, so the backlog is dropped too: shipping it afterwards
+        would double-apply its effects on top of the snapshot.
         """
         manager = self.manager
         sections = {
@@ -133,11 +129,5 @@ class JournalShipper:
         }
         blob = write_snapshot(manager.epoch, sections)
         self.drop_backlog()
-        return manager.expected_progress(), blob
-
-    def catch_up(self) -> Tuple[Tuple[int, int], int, bytes]:
-        """Resynchronization cut for a receiver that refused a batch:
-        ``(progress, next batch seq, snapshot blob)``."""
-        progress, blob = self.snapshot()
         self.stats["catch_ups"] += 1
-        return progress, self.next_seq, blob
+        return manager.expected_progress(), self.next_seq, blob

@@ -19,8 +19,7 @@ checksummed snapshot replaces its image wholesale — a standby never
 applies across damage, so it can be stale but never silently wrong.
 
 :class:`WarmStandby` is the in-process sender feeding one standby per
-endpoint journal of a link pair (the cross-process one is
-:class:`repro.replica.remote.SessionShipper`).
+endpoint journal of a link pair.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ class StandbyReplica:
         structures: Dict[str, object],
         progress: Tuple[int, int],
     ) -> None:
-        """*structures* are mirror instances already seeded to the
-        primary's image as of *progress* (:class:`WarmStandby` seeds
-        them by copy, a buddy worker's shadow from a snapshot)."""
+        """*structures* are mirror instances already seeded (by copy)
+        to the primary's image as of *progress*."""
         self.name = name
         self.structures = dict(structures)
         self.state = "standby"

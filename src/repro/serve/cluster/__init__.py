@@ -14,7 +14,7 @@ worker *processes* and makes the shard boundary a fault boundary:
   and the control-plane client;
 - :mod:`~repro.serve.cluster.supervisor` — spawn, heartbeat-watch,
   detect (crash / hang / byzantine-slow), and recover via buddy
-  promotion + cross-process journal shipping
+  promotion of the session stores each buddy mirrors
   (:mod:`repro.replica.remote`);
 - :mod:`~repro.serve.cluster.campaign` — the kill-under-load proof.
 """

@@ -10,7 +10,7 @@ ClusterService`:
   deaths (SIGKILL / hang / byzantine-slow). Kills are serialized
   against in-flight recoveries — the cluster is single-failure
   tolerant by design (a buddy killed *while* adopting a victim's
-  sessions would take the shadows with it), and the campaign measures
+  sessions would take the stores with it), and the campaign measures
   that design honestly rather than wandering outside it.
 
 Clients are reconnect-resilient: a driver whose worker dies sees the
@@ -18,8 +18,8 @@ connection drop (or a frozen-tag refusal from the router), backs off,
 reopens by tag, and resumes from the holes in its batch via
 ``RemoteClient.completed_indices``. A reopen that comes back as a
 *fresh* session when the driver had prior progress is counted as a
-``lost_session`` — the invariant the buddy shipping exists to hold at
-zero.
+``lost_session`` — the invariant the buddy's store mirror exists to
+hold at zero.
 
 Every invariant the ISSUE gates lives in :meth:`ClusterCampaignReport.
 ok`: zero silent corruptions, zero lost sessions, every scheduled kill
@@ -74,12 +74,8 @@ class ClusterCampaignReport:
     audit_failures: int = 0
     drained_clean: int = 0
     seeds_shipped: int = 0
-    batches_shipped: int = 0
-    records_shipped: int = 0
     store_writes_shipped: int = 0
-    catch_ups: int = 0
     integrity_failures: int = 0
-    gaps_detected: int = 0
     baseline_p99_ms: float = 0.0
     kill_p99_ms: float = 0.0
     p99_blip: float = 0.0
@@ -425,13 +421,10 @@ async def run_cluster_campaign(
     report.drained_clean = drain.get("drained_clean", 0)
     shipping = drain.get("shipping", {})
     report.seeds_shipped = shipping.get("seeds", 0)
-    report.batches_shipped = shipping.get("batches_shipped", 0)
-    report.records_shipped = shipping.get("records_shipped", 0)
     report.store_writes_shipped = shipping.get("store_writes_shipped", 0)
-    standby = drain.get("standby", {})
-    report.catch_ups = standby.get("catch_ups_applied", 0)
-    report.integrity_failures = standby.get("integrity_failures", 0)
-    report.gaps_detected = standby.get("gaps_detected", 0)
+    report.integrity_failures = drain.get("standby", {}).get(
+        "integrity_failures", 0
+    )
     if report.baseline_p99_ms > 0:
         report.p99_blip = report.kill_p99_ms / report.baseline_p99_ms
     report.p99_blip_bounded = int(

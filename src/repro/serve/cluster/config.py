@@ -58,7 +58,6 @@ class ClusterConfig:
     # flushes once at the end of its event-loop pass.
     max_sessions: int = 64
     queue_depth: int = 32
-    replica_flush_accesses: int = 4
     #: Online knob tuning policy ("epsilon", "ucb1" or "onoff"; empty
     #: disables). Each worker builds its own TuningPlan seeded by its
     #: worker id, so shards adapt independently — there is no global

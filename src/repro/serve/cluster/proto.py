@@ -16,7 +16,7 @@ Worker → supervisor::
 
 Supervisor → worker::
 
-    buddy      peer, host, port     (re)point journal shipping here
+    buddy      peer, host, port     (re)point store shipping here
     promote    victim               adopt the dead sibling's shadows
     drain      —                    graceful drain, report, exit
     hang       —                    fault: stop reading + heartbeating

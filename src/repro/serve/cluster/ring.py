@@ -6,7 +6,7 @@ whole failover story: placement is consistent-hashed once, then
 sticky, so a recovery can move a dead worker's tags to its buddy
 without the ring's opinion yanking them back — and a later ring
 change (the replacement worker joining) deliberately does NOT reshard
-live sessions, because a session's state lives where its journal
+live sessions, because a session's state lives where its store
 shipped, not where the hash says it should.
 
 Stdlib only; hashing is :func:`hashlib.blake2b` over the tag/vnode

@@ -6,7 +6,7 @@ The supervisor owns the topology that the workers refuse to know:
   and collects their READY reports (bound serve + replica ports);
 - it places them on the consistent-hash ring and assigns each worker a
   **buddy** — the next alive worker in sorted-id cyclic order — telling
-  every worker where to ship its session journals;
+  every worker where to mirror its session stores;
 - it runs the failure detector over the control connections: process
   exit (``poll()``), heartbeat silence past ``miss_threshold``
   intervals (hang), and a smoothed heartbeat gap past ``slow_factor``
@@ -25,9 +25,9 @@ The supervisor owns the topology that the workers refuse to know:
   reassignment lands.
 
 Single-failure tolerance, stated honestly: a victim's sessions survive
-because their journals were shipped to the buddy *before* the death.
+because their stores were shipped to the buddy *before* the death.
 If the buddy is killed inside the recovery window (double fault), the
-shadows die with it and those sessions restart fresh — the campaign
+stores die with it and those sessions restart fresh — the campaign
 serializes kills against in-flight recoveries for exactly this reason,
 and the report counts any fresh restart as a ``lost_session``.
 
@@ -210,8 +210,6 @@ class ClusterService:
             str(self.config.max_sessions),
             "--queue-depth",
             str(self.config.queue_depth),
-            "--replica-flush-accesses",
-            str(self.config.replica_flush_accesses),
         ]
         if self.config.tune_policy:
             cmd += ["--tune", self.config.tune_policy]

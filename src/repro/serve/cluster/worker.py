@@ -7,13 +7,12 @@ spawns. Each worker process runs:
   (its own sessions, its own event loop — crash isolation is the whole
   point of the process boundary);
 - a replica server on a second ephemeral port, feeding a
-  :class:`~repro.replica.standby.StandbyReplica`-backed
-  :class:`~repro.replica.remote.StandbySessionHost` with whatever
-  siblings ship to it;
+  :class:`~repro.replica.remote.StandbySessionHost` with the session
+  stores its siblings ship to it;
 - an outbound ship link to its buddy: every session the manager opens
-  (or adopts) gets a :class:`~repro.replica.remote.SessionShipper` in
-  its pair's replica slot, pointed down that link, and the link's
-  return direction carries the buddy's catch-up requests;
+  (or adopts) gets a :class:`~repro.replica.remote.SessionShipper`
+  mirroring its backing store down that link, and the link's return
+  direction carries the buddy's delivery-barrier echoes;
 - a control connection back to the supervisor: READY with the bound
   ports, heartbeats, and the command surface (BUDDY / PROMOTE / DRAIN
   plus the HANG / SLOW fault hooks the kill campaign uses).
@@ -37,14 +36,13 @@ from typing import Dict, Optional
 from repro.core.errors import SessionAdmissionError, WireDecodeError
 from repro.link.wire import FrameDecoder, encode_stream_record
 from repro.replica.remote import (
-    SHIP_CATCHUP_REQ,
     SHIP_HELLO,
     SHIP_MARK,
     SHIP_MARK_ACK,
     SHIP_MAX_FRAME_BYTES,
+    SHIP_STATS,
     SessionShipper,
     StandbySessionHost,
-    decode_catchup_req,
     decode_hello,
     decode_mark,
     encode_hello,
@@ -81,9 +79,9 @@ class ClusterWorker:
         self.service = LinkService(config)
         self.manager = self.service.manager
         self.manager.on_open = self._arm_session
-        self.host = StandbySessionHost(config, self._send_catchup_req)
-        #: source worker id → control-path sender for catch-up requests
-        self._backchannels: Dict[int, StreamSender] = {}
+        self.host = StandbySessionHost(config)
+        #: client tag → the shipper mirroring that tag's store
+        self._shippers: Dict[int, SessionShipper] = {}
         self._ship_sender: Optional[StreamSender] = None
         self._ship_task: Optional[asyncio.Task] = None
         self._replica_tasks: set = set()
@@ -102,11 +100,17 @@ class ClusterWorker:
     # ------------------------------------------------------------------
 
     def _arm_session(self, session) -> None:
-        """Manager hook: a session was opened or adopted — ship it
-        (unless its replica slot is already occupied)."""
-        if self._ship_sender is None or session.pair.lifecycle.replica is not None:
+        """Manager hook: a session was opened or adopted — mirror its
+        store on the buddy, or re-seed the buddy if already armed."""
+        if self._ship_sender is None:
             return
-        SessionShipper(session, self._ship_send)
+        shipper = self._shippers.get(session.client_tag)
+        if shipper is not None and shipper.state is session.state:
+            shipper.rebind(self._ship_send)
+        else:
+            self._shippers[session.client_tag] = SessionShipper(
+                session, self._ship_send
+            )
 
     def _ship_send(self, channel: int, payload: bytes) -> None:
         sender = self._ship_sender
@@ -116,7 +120,7 @@ class ClusterWorker:
             )
 
     async def _set_buddy(self, host: str, port: int) -> bool:
-        """(Re)point journal shipping at a new buddy worker."""
+        """(Re)point store shipping at a new buddy worker."""
         await self._teardown_ship_link()
         try:
             reader, writer = await asyncio.open_connection(host, port)
@@ -129,17 +133,9 @@ class ClusterWorker:
             self._ship_read_loop(reader, sender)
         )
         self.stats["rebinds"] += 1
-        # Arm newly shippable sessions; rebind the already-armed ones so
-        # the new buddy gets a fresh baseline.
+        # Every session seeds the new buddy with its whole store.
         for session in list(self.manager.sessions.values()):
-            shipper = _shipper(session)
-            if shipper is None:
-                try:
-                    self._arm_session(session)
-                except Exception:
-                    continue  # e.g. durability disarmed; serve it unshipped
-            else:
-                shipper.rebind(self._ship_send)
+            self._arm_session(session)
         await sender.drain()
         # drain() only waits for the transport's low-water mark; a kill
         # landing now could still eat buffered seeds. The MARK echo
@@ -186,7 +182,7 @@ class ClusterWorker:
                 await sender.aclose()
 
     async def _ship_read_loop(self, reader, sender: StreamSender) -> None:
-        """Return direction of the ship link: buddy's catch-up asks."""
+        """Return direction of the ship link: the buddy's barrier echoes."""
         decoder = FrameDecoder(max_frame_bytes=SHIP_MAX_FRAME_BYTES)
         try:
             while True:
@@ -206,17 +202,6 @@ class ClusterWorker:
                             self._mark_acked, decode_mark(payload)
                         )
                         self._mark_event.set()
-                        continue
-                    if channel != SHIP_CATCHUP_REQ:
-                        continue
-                    tag, side = decode_catchup_req(payload)
-                    for session in self.manager.sessions.values():
-                        shipper = _shipper(session)
-                        if shipper is not None and session.state.client_tag == tag:
-                            shipper.catch_up(side)
-                            break
-                if self._ship_sender is not None:
-                    await self._ship_sender.drain()
         finally:
             # Shipping to a corpse helps nobody: drop the sender so new
             # sessions stay unshipped (the next BUDDY re-arms them) and
@@ -255,15 +240,14 @@ class ClusterWorker:
                     if channel == SHIP_HELLO:
                         source = decode_hello(payload)
                         # A reconnect re-seeds everything: drop the old
-                        # shadows so stale baselines cannot linger.
+                        # stores so stale ones cannot linger.
                         self.host.reset_source(source)
-                        self._backchannels[source] = back
                         continue
                     if source is None:
                         continue  # pre-HELLO noise
                     if channel == SHIP_MARK:
                         # Echo the barrier: everything the sibling sent
-                        # before it has now been applied to our shadows.
+                        # before it has now been applied to our stores.
                         back.send(_frame(SHIP_MARK_ACK, payload))
                         continue
                     self.host.handle_record(source, channel, payload)
@@ -272,15 +256,8 @@ class ClusterWorker:
             pass  # teardown while mid-drain; same quiet-exit contract
         finally:
             self._replica_tasks.discard(task)
-            if source is not None and self._backchannels.get(source) is back:
-                del self._backchannels[source]
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await back.aclose()
-
-    def _send_catchup_req(self, source: int, channel: int, payload: bytes) -> None:
-        back = self._backchannels.get(source)
-        if back is not None:
-            back.send(_frame(channel, payload))
 
     # ------------------------------------------------------------------
     # Control plane
@@ -370,23 +347,9 @@ class ClusterWorker:
         report = await self.service.drain()
         await self.service.stop()
         shipping = {
-            "seeds": 0,
-            "batches_shipped": 0,
-            "records_shipped": 0,
-            "bytes_shipped": 0,
-            "store_writes_shipped": 0,
-            "catch_ups": 0,
-            "lag_peak": 0,
+            key: sum(shipper.stats[key] for shipper in self._shippers.values())
+            for key in SHIP_STATS
         }
-        for session in self.manager.sessions.values():
-            shipper = _shipper(session)
-            if shipper is None:
-                continue
-            for key in shipping:
-                if key == "lag_peak":
-                    shipping[key] = max(shipping[key], shipper.stats[key])
-                else:
-                    shipping[key] += shipper.stats[key]
         self._ctrl_send(
             {
                 "kind": "drained",
@@ -470,13 +433,6 @@ def _frame(channel: int, payload: bytes) -> bytes:
     return encode_stream_record(channel, payload, len(payload) * 8)
 
 
-def _shipper(session) -> Optional[SessionShipper]:
-    """The buddy shipper in *session*'s replica slot, if that is what
-    occupies it."""
-    replica = session.pair.lifecycle.replica
-    return replica if isinstance(replica, SessionShipper) else None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-cluster-worker",
@@ -489,7 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--heartbeat", type=float, default=0.25)
     parser.add_argument("--max-sessions", type=int, default=64)
     parser.add_argument("--queue-depth", type=int, default=32)
-    parser.add_argument("--replica-flush-accesses", type=int, default=4)
     parser.add_argument(
         "--tune",
         default="",
@@ -506,22 +461,16 @@ def main(argv=None) -> int:
     logging.getLogger("asyncio").setLevel(logging.ERROR)
     tuning = None
     if args.tune:
-        from repro.tune.plan import TuningPlan, default_arm_space
+        from repro.tune.plan import TuningPlan
 
         # Per-worker seed: shards explore independently instead of
         # replaying identical arm sequences in lockstep. Sessions
         # adopted after a worker death rebuild a fresh controller on
-        # the buddy — a clean schedule restart, never torn knobs.
-        # Geometry arms are dropped: a hash reshape bypasses the
-        # journal, and the buddy's shadow restores base-shaped
-        # snapshots it cannot reshape.
+        # the buddy — a clean schedule restart, never torn knobs. The
+        # arms are the stock space; each session's controller keeps
+        # the wire-safe ones.
         tuning = TuningPlan(
             policy=args.tune,
-            arms=tuple(
-                arm
-                for arm in default_arm_space(wire_safe=True)
-                if arm.reshape_free
-            ),
             seed=0xCAB1E ^ args.worker_id,
             warmup_accesses=16,
             hold_accesses=16,
@@ -531,7 +480,6 @@ def main(argv=None) -> int:
         port=0,
         max_sessions=args.max_sessions,
         queue_depth=args.queue_depth,
-        replica_flush_accesses=args.replica_flush_accesses,
         tuning=tuning,
     )
     worker = ClusterWorker(

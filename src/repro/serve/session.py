@@ -120,8 +120,8 @@ class ServeConfig:
     #: its own wire-safe controller, adapting independently. Knob
     #: changes land only at epoch boundaries through
     #: ``LinkLifecycle.apply_config``, which flushes the replica slot
-    #: (in-process standby or buddy worker) before the change so
-    #: standby journals never tear.
+    #: (the in-process standby) before the change so standby journals
+    #: never tear.
     tuning: Optional[TuningPlan] = None
 
     def __post_init__(self) -> None:
@@ -312,10 +312,10 @@ class Session:
         capture.clear()
         replica = self.state.pair.lifecycle.replica
         if replica is not None:
-            # Shipper cadence (in-process standby or buddy worker alike)
-            # + kill schedule, both keyed to the per-session access
-            # ordinal so campaigns are repeatable regardless of asyncio
-            # interleaving. The flush runs *before* the kill roll: a
+            # The standby's shipper cadence + kill schedule, both keyed
+            # to the per-session access ordinal so campaigns are
+            # repeatable regardless of asyncio interleaving. The flush
+            # runs *before* the kill roll: a
             # kill landing on a flush point finds an empty backlog and
             # promotes hot.
             ordinal = self.stats["accesses"]
@@ -400,8 +400,8 @@ class SessionManager:
         self.next_id = 1
         self.draining = False
         #: Called with every newly created or adopted session — the
-        #: cluster worker hooks this to arm cross-process journal
-        #: shipping the moment a session exists.
+        #: cluster worker hooks this to mirror the session's store on
+        #: its buddy the moment the session exists.
         self.on_open: Optional[object] = None
         self.stats = {
             "opened": 0,

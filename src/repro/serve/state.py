@@ -32,7 +32,6 @@ from repro.fault.injectors import FailoverInjector
 from repro.fault.plan import RecoveryPolicy
 from repro.obs.registry import METRICS
 from repro.replica.shipper import SHIPPER_STATS
-from repro.replica.standby import WarmStandby
 
 _CTR_RESYNCS = METRICS.counter("serve.session_resyncs")
 _CTR_KILLS = METRICS.counter("replica.primary_kills")
@@ -89,9 +88,9 @@ class SessionState:
         #: the deterministic synthetic lines, so only this dict needs
         #: shipping to reproduce the backing store on another worker.
         self.store = store
-        #: Tee for backing-store writes (cross-process replication
-        #: ships them so a promoted buddy serves the written data, not
-        #: the synthetic original).
+        #: Tee for backing-store writes (a cluster worker ships them so
+        #: the session promoted on its buddy serves the written data,
+        #: not the synthetic original).
         self.on_store_write = None
         self.pair = CableLinkPair(
             cable,
@@ -188,13 +187,12 @@ class SessionState:
 
     def replica_rollup(self) -> Dict[str, int]:
         """Kill/promotion counters plus the in-process standby's
-        shipping counters (zero without one; a buddy worker's shipping
-        is reported by the cluster worker)."""
+        shipping counters (zero without one; a cluster worker reports
+        its store shipping itself)."""
         replica = self.pair.lifecycle.replica
-        in_process = isinstance(replica, WarmStandby)
         rollup = dict(self.stats)
         for key in SHIPPER_STATS + ("batches_lost",):
-            rollup[key] = replica.stats[key] if in_process else 0
+            rollup[key] = 0 if replica is None else replica.stats[key]
         return rollup
 
     # ------------------------------------------------------------------

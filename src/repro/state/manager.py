@@ -27,7 +27,7 @@ restore path never *trusts* what it cannot verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.setassoc import LineId
 from repro.core.errors import JournalReplayError, SnapshotCorruptionError
@@ -135,12 +135,6 @@ class EndpointStateManager:
             structure = self.structures.get(key)
             if structure is not None:
                 structure.journal = self._journal_hook
-
-    def detach(self) -> None:
-        for key in self.JOURNALED:
-            structure = self.structures.get(key)
-            if structure is not None:
-                structure.journal = None
 
     def _record_bits(self, op: str, args: Tuple) -> int:
         bits = self.record_costs.get(op, 32) + OP_TAG_BITS

@@ -29,11 +29,8 @@ from typing import Any, Dict, Tuple
 WIRE_AFFECTING = frozenset({"engine", "remotelid_bits", "line_bytes"})
 
 #: Knobs that re-shape the signature hash tables. The reshape is a
-#: journal-bypassing bulk mutation after which the pair's lifecycle
-#: reseeds its replica slot: an in-process standby reseeds cleanly,
-#: but a *cross-process* shadow rebuilds its mirror from a base-shaped
-#: snapshot it cannot reshape, so cluster workers drop these arms
-#: (see :attr:`KnobArm.reshape_free`).
+#: journal-bypassing bulk mutation, so the pair's lifecycle rebuilds
+#: both tables from the cache arrays and reseeds its replica slot.
 GEOMETRY_KNOBS = frozenset({"hash_table_scale", "hash_bucket_entries"})
 
 #: Knobs an arm may override: ``enabled`` plus the CableConfig fields
@@ -93,11 +90,6 @@ class KnobArm:
     @property
     def wire_safe(self) -> bool:
         return not any(key in WIRE_AFFECTING for key, _ in self.overrides)
-
-    @property
-    def reshape_free(self) -> bool:
-        """True when the arm never re-shapes a hash table."""
-        return not any(key in GEOMETRY_KNOBS for key, _ in self.overrides)
 
 
 def default_arm_space(wire_safe: bool = False) -> Tuple[KnobArm, ...]:

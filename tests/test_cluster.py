@@ -3,10 +3,9 @@
 Unit coverage for the sharding substrate: the consistent-hash ring and
 sticky directory, the SHIP_* replica-stream codecs (round-trip + CRC
 damage rejected whole), the shipper→standby-host flow over a loopback
-channel (seed, batches, store tee, gap → catch-up, promotion), the
-typed session-admission errors, drain arriving while a shadow is
-mid-``catching_up`` — and one end-to-end two-worker cluster where a
-SIGKILL'd worker's session resumes on its buddy through the router.
+channel (seed, store tee, promotion), the typed session-admission
+errors — and one end-to-end two-worker cluster where a SIGKILL'd
+worker's session resumes on its buddy through the router.
 """
 
 import asyncio
@@ -21,22 +20,15 @@ from repro.core.errors import (
     SessionLimitError,
 )
 from repro.replica.remote import (
-    SHIP_BATCH,
-    SHIP_SEED,
-    SHIP_STORE,
     SessionShipper,
     StandbySessionHost,
-    decode_catchup_req,
     decode_hello,
     decode_mark,
     decode_seed,
-    decode_ship_batch,
     decode_ship_store,
-    encode_catchup_req,
     encode_hello,
     encode_mark,
     encode_seed,
-    encode_ship_batch,
     encode_ship_store,
 )
 from repro.serve.client import RemoteClient, SessionRejected
@@ -145,13 +137,8 @@ class TestShipCodecs:
 
     def test_seed_roundtrip_and_damage(self):
         store = {0x40: b"\xaa" * 64, 0x80: b"\xbb" * 64}
-        sides = {
-            "home": ((3, 17), b"home-blob"),
-            "remote": ((2, 9), b"remote-blob"),
-        }
-        payload = encode_seed(0xBEEF, store, sides)
-        tag, got_store, got_sides = decode_seed(payload)
-        assert (tag, got_store, got_sides) == (0xBEEF, store, sides)
+        payload = encode_seed(0xBEEF, store)
+        assert decode_seed(payload) == (0xBEEF, store)
         for pos in (3, len(payload) // 2, len(payload) - 2):
             with pytest.raises(BatchIntegrityError):
                 decode_seed(flip(payload, pos))
@@ -159,18 +146,11 @@ class TestShipCodecs:
             decode_seed(payload[: len(payload) // 2])
 
     def test_batch_store_req_roundtrip_and_damage(self):
-        batch = encode_ship_batch(0xC0DE, "remote", b"blob-bytes")
-        assert decode_ship_batch(batch) == (0xC0DE, "remote", b"blob-bytes")
-        with pytest.raises(BatchIntegrityError):
-            decode_ship_batch(flip(batch))
+        # SHIP_STORE: the one record each write-back sends the buddy.
         store = encode_ship_store(0xC0DE, 0x1040, b"\xcc" * 64)
         assert decode_ship_store(store) == (0xC0DE, 0x1040, b"\xcc" * 64)
         with pytest.raises(BatchIntegrityError):
             decode_ship_store(flip(store))
-        req = encode_catchup_req(0xC0DE, "home")
-        assert decode_catchup_req(req) == (0xC0DE, "home")
-        with pytest.raises(BatchIntegrityError):
-            decode_catchup_req(flip(req))
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +158,15 @@ class TestShipCodecs:
 # ---------------------------------------------------------------------------
 
 
-class _Loopback:
-    """In-process ship channel with per-channel drop/corrupt hooks."""
-
-    def __init__(self, host: StandbySessionHost, source: int = SOURCE) -> None:
-        self.host = host
-        self.source = source
-        self.drop_batches = 0  # drop the next N SHIP_BATCH records
-        self.sent = []
-
-    def __call__(self, channel: int, payload: bytes) -> None:
-        self.sent.append(channel)
-        if channel == SHIP_BATCH and self.drop_batches > 0:
-            self.drop_batches -= 1
-            return
-        self.host.handle_record(self.source, channel, payload)
-
-
-def make_shipped_session(tag=0x51, requests=None):
+def make_shipped_session(tag=0x51):
     """A live session shipping to a loopback StandbySessionHost."""
     config = ServeConfig()
     session = Session(1, tag, config)
-    host = StandbySessionHost(
-        config,
-        request_catchup=(
-            None
-            if requests is None
-            else lambda src, ch, payload: requests.append(
-                (src, decode_catchup_req(payload))
-            )
-        ),
+    host = StandbySessionHost(config)
+    shipper = SessionShipper(
+        session, lambda channel, payload: host.handle_record(SOURCE, channel, payload)
     )
-    channel = _Loopback(host)
-    shipper = SessionShipper(session, channel)
-    return session, shipper, host, channel
+    return session, shipper, host
 
 
 def drive(session, count, seed=0, writes=True):
@@ -224,91 +179,48 @@ def drive(session, count, seed=0, writes=True):
         )
 
 
+def drive_until_writebacks(session, shipper):
+    """The store tee fires on real write-backs (dirty evictions), so
+    keep driving distinct streams until one lands."""
+    for seed in range(8):
+        drive(session, 64, seed=seed)
+        if shipper.stats["store_writes_shipped"]:
+            break
+    assert shipper.stats["store_writes_shipped"] > 0
+
+
 class TestShipperHostFlow:
-    def test_seed_then_batches_apply(self):
-        session, shipper, host, _ = make_shipped_session()
-        assert shipper.stats["seeds"] == 1
-        assert host.stats["seeds_applied"] == 1
-        drive(session, 24)
-        shipper.pump(force=True)
-        shadow = host.shadows[0x51]
-        assert host.stats["batches_applied"] == shipper.stats["batches_shipped"]
-        assert host.stats["records_applied"] == shipper.stats["records_shipped"]
-        for side in ("home", "remote"):
-            assert shadow.standbys[side].state == "standby"
-
-    def test_apply_config_flushes_the_buddy_backlog(self):
-        # A knob change is an epoch boundary: the buddy's shadow must
-        # hold the pre-change journal in full before the new config
-        # takes effect, as an in-process standby would.
-        session, _shipper, host, _ = make_shipped_session()
-        drive(session, 24)
-        pair = session.pair
-        progress = {
-            side: manager.expected_progress()
-            for side, manager in pair.lifecycle.managers.items()
-        }
-        pair.lifecycle.apply_config(
-            pair.config.with_overrides(
-                data_access_count=pair.config.data_access_count + 1
-            )
-        )
-        for side, standby in host.shadows[0x51].standbys.items():
-            assert standby.applied_progress == progress[side]
-
     def test_store_writes_reach_the_shadow(self):
-        session, shipper, host, _ = make_shipped_session()
-        # The store tee fires on real writebacks (dirty evictions), so
-        # keep driving distinct streams until one lands.
-        for seed in range(8):
-            drive(session, 64, seed=seed)
-            if shipper.stats["store_writes_shipped"]:
-                break
-        shipper.pump(force=True)
-        shadow = host.shadows[0x51]
-        assert shipper.stats["store_writes_shipped"] > 0
+        session, shipper, host = make_shipped_session()
+        assert shipper.stats["seeds"] == host.stats["seeds_applied"] == 1
+        drive_until_writebacks(session, shipper)
         assert (
             host.stats["store_writes_applied"]
             == shipper.stats["store_writes_shipped"]
         )
         # Synthetic read-fills stay local (deterministic by tag); what
         # the shadow holds must mirror the primary exactly.
-        assert shadow.session.state.store
-        for addr, data in shadow.session.state.store.items():
+        source, store = host.shadows[0x51]
+        assert source == SOURCE and store
+        for addr, data in store.items():
             assert session.state.store[addr] == data
 
-    def test_dropped_batch_flips_to_catching_up_then_heals(self):
-        requests = []
-        session, shipper, host, channel = make_shipped_session(
-            requests=requests
-        )
-        drive(session, 8)
-        shipper.pump(force=True)
-        channel.drop_batches = 2  # lose one batch per side
-        drive(session, 8, seed=1)
-        shipper.pump(force=True)
-        drive(session, 8, seed=2)
-        shipper.pump(force=True)
-        shadow = host.shadows[0x51]
-        assert host.stats["gaps_detected"] > 0
-        assert any(s.state == "catching_up" for s in shadow.standbys.values())
-        assert requests  # the host asked the shipper for a snapshot
-        for source, (tag, side) in requests:
-            assert (source, tag) == (SOURCE, 0x51)
-            shipper.catch_up(side)
-        assert host.stats["catch_ups_applied"] == len(requests)
-        for side in ("home", "remote"):
-            assert shadow.standbys[side].state == "standby"
-        # Fully healed: the next pump applies cleanly again.
-        drive(session, 8, seed=3)
-        before = host.stats["batches_applied"]
-        shipper.pump(force=True)
-        assert host.stats["batches_applied"] > before
+    def test_promoted_store_serves_every_primary_line(self):
+        # The converse of the mirror check above: every line the primary
+        # holds — written back or read-filled — reads back identically
+        # on the promoted session. A buddy that lost one SHIP_STORE
+        # would serve the stale or synthetic line instead.
+        session, shipper, host = make_shipped_session()
+        drive_until_writebacks(session, shipper)
+        (promoted,) = host.promote_worker(SOURCE)
+        backing_read = promoted.pair.pair.backing_read
+        for addr, data in session.state.store.items():
+            assert backing_read(addr) == data
 
     def test_promotion_adopts_into_a_fresh_manager(self):
-        session, shipper, host, _ = make_shipped_session()
+        session, _shipper, host = make_shipped_session()
         drive(session, 24)
-        session.state.drain()  # pump + checkpoint, like a real drain
+        session.state.drain()
         progress = session.state.progress()
         promoted = host.promote_worker(SOURCE)
         assert len(promoted) == 1
@@ -316,10 +228,7 @@ class TestShipperHostFlow:
         manager = SessionManager(ServeConfig())
         adopted = manager.adopt(promoted[0])
         assert adopted.state.client_tag == 0x51
-        # The promoted epoch dominates everything the dead primary
-        # granted: the owner's resume HELLO is guaranteed stale.
-        assert adopted.state.progress()[0] >= progress[0]
-        granted, flags = manager.open(0, 0x51, *progress)
+        granted, _flags = manager.open(0, 0x51, *progress)
         assert granted is adopted
         # Written-back lines survive the hop (reads must serve the
         # written data, not the synthetic original).
@@ -337,78 +246,6 @@ class TestShipperHostFlow:
         assert set(host.shadows) == {0xA1, 0xA2, 0xB1}
         host.reset_source(1)
         assert set(host.shadows) == {0xB1}
-
-
-class TestDrainDuringCatchUp:
-    """DRAIN while a standby side is mid-``catching_up``.
-
-    The pinned contract: a drain on the shipping primary never wedges
-    on a catching-up shadow. Either the catch-up is answered — then the
-    post-drain snapshot heals the shadow to the primary's full drained
-    progress — or it is abandoned outright, and promotion still
-    produces an adoptable warm session (``StandbyReplica.promote`` is
-    legal from ``catching_up``; data reads never depended on the
-    replayed metadata).
-    """
-
-    def test_catchup_answered_after_drain_heals_to_full_progress(self):
-        requests = []
-        session, shipper, host, channel = make_shipped_session(
-            requests=requests
-        )
-        drive(session, 8)
-        shipper.pump(force=True)
-        channel.drop_batches = 2
-        drive(session, 8, seed=1)
-        shipper.pump(force=True)
-        # The gap is seen when the *next* batch arrives out of sequence.
-        drive(session, 8, seed=2)
-        shipper.pump(force=True)
-        shadow = host.shadows[0x51]
-        assert any(s.state == "catching_up" for s in shadow.standbys.values())
-        # DRAIN arrives now: the primary settles, force-pumps its
-        # backlog (refused by the catching-up sides — counted, never
-        # half-applied), checkpoints. Must not raise, must not wedge.
-        session.state.drain()
-        drained_progress = session.state.progress()
-        assert any(s.state == "catching_up" for s in shadow.standbys.values())
-        # The deferred catch-up is answered with a post-drain cut: the
-        # snapshot subsumes the drained journal, so the shadow lands at
-        # the primary's final progress with nothing lost.
-        for _source, (_tag, side) in requests:
-            shipper.catch_up(side)
-        for side in ("home", "remote"):
-            assert shadow.standbys[side].state == "standby"
-        assert (
-            shadow.standbys["home"].applied_progress[0]
-            >= drained_progress[0]
-        )
-        promoted = host.promote_worker(SOURCE)
-        assert promoted[0].state.progress()[0] >= drained_progress[0]
-
-    def test_catchup_abandoned_still_promotes_warm(self):
-        requests = []
-        session, shipper, host, channel = make_shipped_session(
-            requests=requests
-        )
-        drive(session, 16)
-        shipper.pump(force=True)
-        channel.drop_batches = 1  # wedge exactly one side
-        drive(session, 8, seed=1)
-        shipper.pump(force=True)
-        session.state.drain()
-        assert requests  # a catch-up was requested...
-        # ...and never answered (the shipping worker is going away).
-        promoted = host.promote_worker(SOURCE)
-        assert len(promoted) == 1
-        manager = SessionManager(ServeConfig())
-        adopted = manager.adopt(promoted[0])
-        # Warm promotion from catching_up: metadata is stale but data
-        # correctness holds — reads serve the shipped store.
-        for addr, data in adopted.state.store.items():
-            assert session.state.store[addr] == data
-        granted, _flags = manager.open(0, 0x51, 0, 0)
-        assert granted is adopted
 
 
 # ---------------------------------------------------------------------------

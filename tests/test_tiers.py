@@ -284,14 +284,14 @@ class TestSweep:
 
     def test_obs_tier_family(self):
         from repro.obs.registry import METRICS
-        from repro.obs.report import COUNTER_PREFIXES, render_tier_section
+        from repro.obs.report import COUNTER_PREFIXES, render_prefix_section
 
         assert "tier." in COUNTER_PREFIXES
         METRICS.enable()
         try:
             METRICS.reset()
             run_cxl_tier("gcc", small_cxl())
-            section = render_tier_section(METRICS)
+            section = render_prefix_section(METRICS, "tier.", "memory tiers")
             assert "tier.cxl.transfers" in section
             assert "tier.cxl.eff_ratio" in section
         finally:

@@ -193,11 +193,6 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             plan.resolve_arms(wire_safe=True)
 
-    def test_reshape_free_property(self):
-        assert not KnobArm.make("t", hash_table_scale=0.5).reshape_free
-        assert not KnobArm.make("b", hash_bucket_entries=4).reshape_free
-        assert KnobArm.make("p", data_access_count=2).reshape_free
-
 
 # ----------------------------------------------------------------------
 # End-to-end determinism + epoch-boundary safety

@@ -180,17 +180,20 @@ def smoke_cluster() -> int:
 
 
 def smoke_tune() -> int:
-    """Short adaptive-tuning campaign across both controller hosts.
+    """Short adaptive-tuning campaign across every controller host.
 
     Simulator: a seeded UCB1 run must settle epochs, pull several arms
     and reproduce byte-identically on a rerun. Serve: per-session
     controllers under wire faults must corrupt nothing and settle
     epochs; the ``tune.*`` metric family must land in the archived obs
-    snapshot.
+    snapshot. Cluster: tuned workers under a kill storm must lose and
+    corrupt nothing, settle epochs, and (in the merged worker registry,
+    under ``REPRO_OBS=1``) pull the hash-geometry arms too.
     """
     import asyncio
 
     from repro.obs.registry import METRICS
+    from repro.serve.cluster.campaign import run_cluster_campaign
     from repro.serve.loadgen import run_loadgen
     from repro.serve.server import LinkService
     from repro.serve.session import ServeConfig
@@ -248,6 +251,29 @@ def smoke_tune() -> int:
             name for name in snapshot.get("counters", {}) if name.startswith("tune.")
         ]
         assert tuned, "REPRO_OBS=1 run recorded no tune.* counters"
+
+    cluster = asyncio.run(
+        run_cluster_campaign(workers=3, clients=12, kills=3, tune_policy="ucb1")
+    )
+    epochs = cluster.drain_report.get("serve", {}).get("tune_epochs", 0)
+    print(
+        f"cluster: kills={cluster.kills} recoveries={cluster.recoveries} "
+        f"lost={cluster.lost_sessions} "
+        f"completed={cluster.completed}/{cluster.planned} "
+        f"epochs={epochs} silent={cluster.silent_corruptions}"
+    )
+    assert cluster.lost_sessions == 0, "a victim's session restarted fresh"
+    assert cluster.silent_corruptions == 0, "silent corruption escaped"
+    assert cluster.completed == cluster.planned, "an access never completed"
+    assert epochs > 0, "tuned workers settled no epochs"
+    assert cluster.ok
+    obs = cluster.drain_report.get("obs")
+    if obs:
+        counters = obs.get("counters", {})
+        geometry = counters.get("tune.pull.bucket4", 0) + counters.get(
+            "tune.pull.table8th", 0
+        )
+        assert geometry > 0, "tuned workers never pulled a hash-geometry arm"
     return 0
 
 
