@@ -48,16 +48,11 @@ CAMPAIGN_SCALES = {
 BASELINE_ACCESSES = 32
 BATCH_ACCESSES = 24
 
-#: A p99 blip above this multiple of the no-fault baseline fails the
-#: run. Generous by design — the claim is "bounded", not "invisible":
-#: recovery windows freeze tags and clients spin on reconnect.
-BLIP_LIMIT = 8.0
-
 HEARTBEAT_INTERVAL = 0.2
 
 
 def run(scale="default") -> ExperimentResult:
-    from repro.serve.cluster.campaign import run_cluster_campaign
+    from repro.serve.campaign import run_cluster_campaign
 
     preset = resolve_scale(scale)
     workers, clients, kills = CAMPAIGN_SCALES.get(
@@ -72,11 +67,9 @@ def run(scale="default") -> ExperimentResult:
             batch_accesses=BATCH_ACCESSES,
             seed=SEED,
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            blip_limit=BLIP_LIMIT,
         )
     )
-    drain = report.drain_report
-    supervisor = drain.get("supervisor", {}) if isinstance(drain, dict) else {}
+    supervisor = report.drain_report.get("supervisor", {})
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title="Sharded link service under a worker kill storm",
@@ -112,8 +105,8 @@ def run(scale="default") -> ExperimentResult:
         "seeds_shipped": report.seeds_shipped,
         "store_writes_shipped": report.store_writes_shipped,
         "p99_blip": round(report.p99_blip, 3),
-        "p99_blip_bounded": report.p99_blip_bounded,
-        "drained_clean": report.drained_clean,
+        "p99_blip_bounded": int(report.p99_blip_bounded),
+        "drained_clean": int(report.drained_clean),
         "campaign_ok": int(report.ok),
     }
     return result

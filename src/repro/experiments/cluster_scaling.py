@@ -5,7 +5,9 @@ routing sessions across more worker processes actually buy
 throughput? Each row brings up a fresh
 :class:`~repro.serve.cluster.supervisor.ClusterService` with N
 workers, drives a fixed client population through the front router to
-batch completion, and reports end-to-end accesses/s.
+batch completion (one :func:`~repro.serve.loadgen.run_loadgen` batch
+per client over TCP), drains the cluster, and reports end-to-end
+accesses/s.
 
 The honest claim is *near-linear up to the core count*: worker
 processes are CPU-bound Python, so once they outnumber the cores they
@@ -48,6 +50,9 @@ WORKER_COUNTS = (1, 2, 4, 8)
 #: number of shards behind the router.
 CLIENTS = 16
 
+#: Accesses each client keeps in flight.
+WINDOW = 4
+
 #: Minimum fraction of perfect linear scaling (vs the 1-worker row)
 #: required of every in-core row (``workers + 1 <= cores``).
 LINEAR_FLOOR = 0.6
@@ -69,11 +74,32 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+async def _serve_row(workers: int, per_client: int):
+    """One fresh cluster of *workers*: every client completes one batch
+    through the router, then the cluster drains."""
+    from repro.serve.cluster.config import ClusterConfig
+    from repro.serve.cluster.supervisor import ClusterService
+    from repro.serve.loadgen import run_loadgen
+
+    service = ClusterService(ClusterConfig(workers=workers))
+    host, port = await service.start()
+    try:
+        report = await run_loadgen(
+            clients=CLIENTS,
+            accesses=per_client,
+            seed=SEED,
+            window=WINDOW,
+            host=host,
+            port=port,
+        )
+    finally:
+        drain = await service.drain()
+    return report, drain
+
+
 def run(
     scale="default", worker_counts: Optional[Sequence[int]] = None
 ) -> ExperimentResult:
-    from repro.serve.cluster.campaign import run_cluster_serving
-
     worker_counts = tuple(worker_counts or WORKER_COUNTS)
     preset = resolve_scale(scale)
     per_client = max(24, preset.accesses // 80)
@@ -102,28 +128,22 @@ def run(
     total_silent = 0
     all_clean = True
     for workers in worker_counts:
-        report = asyncio.run(
-            run_cluster_serving(
-                workers=workers,
-                clients=CLIENTS,
-                accesses=per_client,
-                seed=SEED,
-            )
-        )
-        rates[workers] = report["accesses_per_s"]
-        total_silent += report["silent_corruptions"]
-        all_clean = all_clean and bool(report["drained_clean"])
+        report, drain = asyncio.run(_serve_row(workers, per_client))
+        silent = drain["serve"].get("silent_corruptions", 0)
+        rates[workers] = report.lines_per_s
+        total_silent += silent
+        all_clean = all_clean and bool(drain["drained_clean"])
         result.rows.append(
             [
                 workers,
-                report["clients"],
-                report["planned"],
-                report["completed"],
-                report["silent_corruptions"],
-                report["drained_clean"],
-                round(report["p50_ms"], 3),
-                round(report["p99_ms"], 3),
-                round(report["accesses_per_s"], 1),
+                report.clients,
+                report.accesses,
+                report.completed,
+                silent,
+                drain["drained_clean"],
+                round(report.p50_ms, 3),
+                round(report.p99_ms, 3),
+                round(report.lines_per_s, 1),
             ]
         )
     cores = _usable_cores()

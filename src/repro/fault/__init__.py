@@ -1,4 +1,10 @@
-"""Fault injection & resilience campaigns.
+"""Fault injection & link-level resilience campaigns.
+
+The plans and injectors here serve every layer; the campaigns here
+drive one :class:`~repro.core.encoder.CableLinkPair` (wire faults,
+endpoint crashes). The served kill campaigns drive the link service,
+so they live above it, in the serve package's ``campaign`` module;
+nothing here imports the serving stack.
 
 Layering note: :mod:`repro.core.config` embeds :class:`FaultPlan` /
 :class:`RecoveryPolicy`, so importing this package must stay cheap and
@@ -14,7 +20,6 @@ __all__ = [
     "ChannelFaultInjector",
     "CrashCampaignReport",
     "CrashFaultInjector",
-    "FailoverCampaignReport",
     "FailoverInjector",
     "FaultPlan",
     "RecoveryPolicy",
@@ -23,7 +28,6 @@ __all__ = [
     "WorkerFaultInjector",
     "run_campaign",
     "run_crash_campaign",
-    "run_failover_campaign",
 ]
 
 _LAZY = {
@@ -37,8 +41,6 @@ _LAZY = {
     "run_campaign": "repro.fault.campaign",
     "CrashCampaignReport": "repro.fault.campaign",
     "run_crash_campaign": "repro.fault.campaign",
-    "FailoverCampaignReport": "repro.fault.campaign",
-    "run_failover_campaign": "repro.fault.campaign",
 }
 
 

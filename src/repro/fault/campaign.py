@@ -380,159 +380,3 @@ def run_crash_campaign(
             silent_corruptions=report.silent_corruptions,
         )
     return report
-
-
-@dataclass
-class FailoverCampaignReport:
-    """Everything one kill-the-primary-under-load campaign produced.
-
-    The campaign is serve-hosted: *clients* concurrent loadgen
-    sessions drive live traffic while a deterministic
-    :class:`~repro.replica.plan.FailoverPlan` kills each session's
-    primary at scripted and randomized points; every kill promotes the
-    warm standby mid-traffic. A baseline run (replication armed, no
-    kills) provides the denominator for the p99 latency blip.
-    """
-
-    clients: int = 0
-    accesses: int = 0
-    completed: int = 0
-    kills: int = 0
-    hot_promotions: int = 0
-    warm_promotions: int = 0
-    lost_records: int = 0
-    catch_ups: int = 0
-    batches_shipped: int = 0
-    batches_lost: int = 0
-    replica_lag_peak: int = 0
-    #: Structural lag bound: the journal tee force-pumps at
-    #: ``ReplicationPolicy.max_lag_records``, so the backlog a kill can
-    #: lose never exceeds it.
-    lag_bound: int = 0
-    link_failures: int = 0
-    silent_corruptions: int = 0
-    audit_failures: int = 0
-    drained_clean: bool = False
-    p50_ms: float = 0.0
-    p99_ms: float = 0.0
-    baseline_p99_ms: float = 0.0
-
-    @property
-    def p99_blip(self) -> float:
-        """p99 latency under kills relative to the no-kill baseline."""
-        if self.baseline_p99_ms <= 0.0:
-            return 0.0
-        return self.p99_ms / self.baseline_p99_ms
-
-    @property
-    def lag_bounded(self) -> bool:
-        return self.replica_lag_peak <= self.lag_bound
-
-    @property
-    def ok(self) -> bool:
-        """The failover contract: every access answered, nothing
-        silently wrong, every promotion audited clean, lag bounded."""
-        return (
-            self.completed == self.accesses
-            and self.silent_corruptions == 0
-            and self.audit_failures == 0
-            and self.drained_clean
-            and self.lag_bounded
-        )
-
-
-def run_failover_campaign(
-    plan,
-    replication=None,
-    clients: int = 8,
-    accesses: int = 80,
-    benchmark: str = "gcc",
-    seed: int = 0xCAB1E,
-    window: int = 8,
-    tcp: bool = False,
-    baseline: bool = True,
-    serve_overrides: Optional[Dict[str, object]] = None,
-) -> FailoverCampaignReport:
-    """Kill replicated primaries under live traffic and report.
-
-    *plan* is a :class:`~repro.replica.plan.FailoverPlan` (reseeded
-    per session by the serve layer, so every session runs its own
-    deterministic kill schedule); *replication* defaults to
-    :class:`~repro.replica.plan.ReplicationPolicy`. ``tcp=True`` runs
-    the full socket path on an ephemeral localhost port instead of
-    in-process memory pipes. Kill/promotion/lag columns are
-    deterministic for fixed arguments; latency columns are wall-clock.
-    """
-    import asyncio
-
-    from repro.replica.plan import ReplicationPolicy
-    from repro.serve.loadgen import drain_into, run_loadgen
-    from repro.serve.server import LinkService
-    from repro.serve.session import ServeConfig
-
-    replication = replication or ReplicationPolicy()
-
-    async def _one_run(config: ServeConfig):
-        service = LinkService(config)
-        if tcp:
-            host, port = await service.start_tcp()
-            report = await run_loadgen(
-                clients=clients, accesses=accesses, benchmark=benchmark,
-                seed=seed, window=window, host=host, port=port,
-                keep_sessions=True,
-            )
-            return await drain_into(report, service)
-        return await run_loadgen(
-            clients=clients, accesses=accesses, benchmark=benchmark,
-            seed=seed, window=window, service=service,
-        )
-
-    async def _campaign():
-        overrides = dict(serve_overrides or {})
-        overrides.setdefault("max_sessions", max(64, clients))
-        baseline_p99 = 0.0
-        if baseline:
-            quiet = await _one_run(
-                ServeConfig(replication=replication, **overrides)
-            )
-            baseline_p99 = quiet.p99_ms
-        loud = await _one_run(
-            ServeConfig(replication=replication, failover=plan, **overrides)
-        )
-        return baseline_p99, loud
-
-    baseline_p99, loadgen = asyncio.run(_campaign())
-    drain = loadgen.drain_report
-    report = FailoverCampaignReport(
-        clients=clients,
-        accesses=clients * accesses,
-        completed=loadgen.completed,
-        kills=drain.get("kills", 0),
-        hot_promotions=drain.get("hot_promotions", 0),
-        warm_promotions=drain.get("warm_promotions", 0),
-        lost_records=drain.get("lost_records", 0),
-        catch_ups=drain.get("catch_ups", 0),
-        batches_shipped=drain.get("batches_shipped", 0),
-        batches_lost=drain.get("batches_lost", 0),
-        replica_lag_peak=drain.get("replica_lag_peak", 0),
-        lag_bound=replication.max_lag_records,
-        link_failures=loadgen.link_failures,
-        silent_corruptions=loadgen.silent_corruptions,
-        audit_failures=drain.get("audit_failures", 0),
-        drained_clean=loadgen.drained_clean,
-        p50_ms=loadgen.p50_ms,
-        p99_ms=loadgen.p99_ms,
-        baseline_p99_ms=baseline_p99,
-    )
-    if METRICS.enabled:
-        _publish_campaign(
-            "failover_campaign",
-            accesses=report.accesses,
-            kills=report.kills,
-            hot_promotions=report.hot_promotions,
-            warm_promotions=report.warm_promotions,
-            lost_records=report.lost_records,
-            catch_ups=report.catch_ups,
-            silent_corruptions=report.silent_corruptions,
-        )
-    return report

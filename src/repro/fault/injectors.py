@@ -367,7 +367,7 @@ class FailoverInjector:
 
 
 class WorkerFaultInjector:
-    """Picks cluster-worker victims and failure modes (repro.serve.cluster).
+    """Picks cluster-worker victims and failure modes for the kill storm.
 
     The kill campaign rolls :meth:`next_fault` once per scheduled kill;
     the injector picks a victim uniformly among the currently alive
@@ -383,9 +383,15 @@ class WorkerFaultInjector:
       still answers — late (EWMA gap detection). ``slow_stall_ms``
       scales the stall; campaigns set it well past the detector's
       threshold so detection is not left to scheduling luck.
+
+    Victims and modes come from two separate seeded streams. The
+    victim draw consumes a number of random bits that depends on how
+    many workers are alive, which varies with respawn timing; on its
+    own stream it cannot shift the mode sequence, so the mode split of
+    a fixed kill budget is a pure function of the seed.
     """
 
-    #: Default mode mix: mostly hard kills, with enough hangs and
+    #: Mode mix: mostly hard kills, with enough hangs and
     #: slow-degradations to keep all three detectors honest.
     MODE_WEIGHTS: Tuple[Tuple[str, float], ...] = (
         ("sigkill", 0.70),
@@ -393,41 +399,18 @@ class WorkerFaultInjector:
         ("slow", 0.15),
     )
 
-    def __init__(
-        self,
-        seed: int,
-        mode_weights: Optional[Tuple[Tuple[str, float], ...]] = None,
-        slow_stall_ms: float = 2000.0,
-    ) -> None:
+    def __init__(self, seed: int, slow_stall_ms: float = 2000.0) -> None:
         self.seed = seed
-        self._rng = make_rng(seed, "worker-kills")
-        self.mode_weights = tuple(mode_weights or self.MODE_WEIGHTS)
-        total = sum(weight for _, weight in self.mode_weights)
-        if total <= 0:
-            raise ValueError("mode weights must sum to a positive value")
-        self._cumulative = []
-        running = 0.0
-        for mode, weight in self.mode_weights:
-            running += weight / total
-            self._cumulative.append((running, mode))
+        self._victims = make_rng(seed, "worker-kills", "victim")
+        self._modes = make_rng(seed, "worker-kills", "mode")
+        self.modes, self._weights = zip(*self.MODE_WEIGHTS)
         self.slow_stall_ms = slow_stall_ms
-        self.stats = {"sigkill": 0, "hang": 0, "slow": 0}
 
     def next_fault(self, alive_ids) -> Tuple[int, str]:
         """(victim worker id, mode) for the next scheduled kill."""
         alive = sorted(alive_ids)
         if not alive:
             raise ValueError("no alive workers to pick a victim from")
-        victim = alive[self._rng.randrange(len(alive))]
-        roll = self._rng.random()
-        mode = self._cumulative[-1][1]
-        for threshold, candidate in self._cumulative:
-            if roll < threshold:
-                mode = candidate
-                break
-        self.stats[mode] += 1
+        victim = alive[self._victims.randrange(len(alive))]
+        (mode,) = self._modes.choices(self.modes, self._weights)
         return victim, mode
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(self.stats.values())

@@ -20,8 +20,13 @@ Layering:
   queue, a retransmit window and durable epoch state;
 - :mod:`repro.serve.server` / :mod:`repro.serve.client` — the two
   endpoints;
-- :mod:`repro.serve.loadgen` — N concurrent clients replaying
-  :mod:`repro.trace` streams.
+- :mod:`repro.serve.loadgen` — the one client driver: N concurrent
+  reconnect-resilient clients replaying :mod:`repro.trace` streams
+  over memory pipes or TCP;
+- :mod:`repro.serve.campaign` — the served kill campaigns (in-process
+  primary failover, cluster worker kill storm), both run through the
+  loadgen's drivers;
+- :mod:`repro.serve.cluster` — the sharded multi-process service.
 
 Invariants the tests and benchmarks pin: per-session send queues are
 *bounded* (overflow is an explicit RETRY, never unbounded buffering);
@@ -35,9 +40,14 @@ from importlib import import_module
 from typing import Dict
 
 _EXPORTS: Dict[str, str] = {
+    "ClusterCampaignReport": "repro.serve.campaign",
+    "FailoverCampaignReport": "repro.serve.campaign",
+    "run_cluster_campaign": "repro.serve.campaign",
+    "run_failover_campaign": "repro.serve.campaign",
     "OpenResult": "repro.serve.client",
     "RemoteClient": "repro.serve.client",
     "SessionRejected": "repro.serve.client",
+    "Driver": "repro.serve.loadgen",
     "LoadgenReport": "repro.serve.loadgen",
     "run_loadgen": "repro.serve.loadgen",
     "LinkService": "repro.serve.server",
@@ -63,6 +73,9 @@ def __dir__():
 
 
 __all__ = [
+    "ClusterCampaignReport",
+    "Driver",
+    "FailoverCampaignReport",
     "LinkService",
     "LoadgenReport",
     "OpenResult",
@@ -73,5 +86,7 @@ __all__ = [
     "SessionRejected",
     "StreamSender",
     "open_memory_pipe",
+    "run_cluster_campaign",
+    "run_failover_campaign",
     "run_loadgen",
 ]

@@ -32,6 +32,18 @@ _HIST_RTT = METRICS.histogram(
 )
 
 
+#: Counters every :class:`RemoteClient` keeps (per connection).
+CLIENT_STATS = (
+    "completed",
+    "frames",
+    "nacks",
+    "crc_errors",
+    "backpressure",
+    "retries",
+    "link_failures",
+)
+
+
 class SessionRejected(RuntimeError):
     """The service refused to grant a session (full, draining, or an
     unknown/busy resume id)."""
@@ -80,19 +92,11 @@ class RemoteClient:
         self.draining = False  # server announced DRAIN: no new accesses
         self.progress: Tuple[int, int] = (0, 0)
         self.latencies_ms: List[float] = []
-        #: Indices completed by :meth:`run` — a reconnecting driver
-        #: (cluster campaign) resumes from the holes instead of
-        #: replaying the whole sequence.
+        #: Indices completed by :meth:`run` — the reconnecting
+        #: :class:`~repro.serve.loadgen.Driver` resumes from the holes
+        #: instead of replaying the whole sequence.
         self.completed_indices: Set[int] = set()
-        self.stats = {
-            "completed": 0,
-            "frames": 0,
-            "nacks": 0,
-            "crc_errors": 0,
-            "backpressure": 0,
-            "retries": 0,
-            "link_failures": 0,
-        }
+        self.stats = dict.fromkeys(CLIENT_STATS, 0)
 
     @classmethod
     async def connect_tcp(cls, host: str, port: int) -> "RemoteClient":

@@ -15,25 +15,23 @@ worker *processes* and makes the shard boundary a fault boundary:
 - :mod:`~repro.serve.cluster.supervisor` — spawn, heartbeat-watch,
   detect (crash / hang / byzantine-slow), and recover via buddy
   promotion of the session stores each buddy mirrors
-  (:mod:`repro.replica.remote`);
-- :mod:`~repro.serve.cluster.campaign` — the kill-under-load proof.
+  (:mod:`repro.replica.remote`).
+
+The kill-under-load campaign that exercises all of it,
+:func:`repro.serve.campaign.run_cluster_campaign`, sits one level up
+beside the in-process failover campaign: both drive the load
+generator's reconnecting clients.
 """
 
-from repro.serve.cluster.campaign import (
-    ClusterCampaignReport,
-    run_cluster_campaign,
-)
 from repro.serve.cluster.config import ClusterConfig
 from repro.serve.cluster.ring import HashRing, SessionDirectory
 from repro.serve.cluster.router import FrontRouter
 from repro.serve.cluster.supervisor import ClusterService
 
 __all__ = [
-    "ClusterCampaignReport",
     "ClusterConfig",
     "ClusterService",
     "FrontRouter",
     "HashRing",
     "SessionDirectory",
-    "run_cluster_campaign",
 ]

@@ -32,20 +32,6 @@ class ClusterConfig:
     #: heartbeat intervals is declared byzantine-slow and recovered
     #: (it answers, but so late it drags every session it hosts).
     slow_factor: float = 6.0
-    #: Heartbeats observed before the slow detector may fire (lets the
-    #: EWMA settle past process-start jitter).
-    slow_grace_beats: int = 5
-    #: Virtual nodes per worker on the consistent-hash ring.
-    vnodes: int = 64
-    #: Seconds to wait for a spawned worker's READY.
-    spawn_timeout: float = 30.0
-    #: Seconds to wait for every worker's drain report. Unlike spawn,
-    #: drain time scales with resident state — each worker audits every
-    #: session it holds — so soak-scale campaigns must raise it (0 =
-    #: fall back to ``spawn_timeout``).
-    drain_timeout: float = 0.0
-    #: Seconds to wait for a buddy's PROMOTED during recovery.
-    promote_timeout: float = 30.0
     #: Respawn a replacement after a worker death (the campaign keeps
     #: the population constant; tests may prefer shrinking clusters).
     respawn: bool = True
@@ -56,6 +42,8 @@ class ClusterConfig:
     # -- serve knobs forwarded to every worker -------------------------
     # Writer batching is not among them: every sender in every process
     # flushes once at the end of its event-loop pass.
+    #: Sessions one worker may hold; it also sizes the drain deadline
+    #: (each worker audits every session it holds at drain).
     max_sessions: int = 64
     queue_depth: int = 32
     #: Online knob tuning policy ("epsilon", "ucb1" or "onoff"; empty

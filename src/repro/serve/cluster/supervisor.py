@@ -55,14 +55,35 @@ from repro.serve.cluster.proto import (
     decode_ctrl,
     encode_ctrl,
 )
-from repro.serve.cluster.ring import HashRing, SessionDirectory
+from repro.serve.cluster.ring import SessionDirectory
 from repro.serve.cluster.router import FrontRouter
 from repro.serve.transport import READ_CHUNK, StreamSender
+
+#: Heartbeats observed before the slow detector may fire (lets the
+#: EWMA settle past process-start jitter).
+SLOW_GRACE_BEATS = 5
+
+#: Seconds to wait for a spawned worker's READY.
+SPAWN_TIMEOUT_S = 30.0
+
+#: Seconds to wait for a buddy's PROMOTED during recovery.
+PROMOTE_TIMEOUT_S = 30.0
+
+#: Drain seconds allowed per session a worker may hold. Unlike spawn,
+#: drain time scales with resident state: each worker audits every
+#: session it holds, and a 256-client soak overruns a flat 30 s on a
+#: single core.
+DRAIN_S_PER_SESSION = 0.75
 
 _CTR_RECOVERIES = METRICS.counter("cluster.recoveries")
 _CTR_RESPAWNS = METRICS.counter("cluster.respawns")
 _CTR_FAILED_OVER = METRICS.counter("cluster.sessions_failed_over")
 _GAUGE_WORKERS = METRICS.gauge("cluster.alive_workers")
+
+
+def drain_deadline(config: ClusterConfig) -> float:
+    """Seconds to wait for every worker's drain report."""
+    return max(SPAWN_TIMEOUT_S, DRAIN_S_PER_SESSION * config.max_sessions)
 
 
 class WorkerHandle:
@@ -111,7 +132,7 @@ class ClusterService:
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
-        self.directory = SessionDirectory(HashRing(self.config.vnodes))
+        self.directory = SessionDirectory()
         self.workers: Dict[int, WorkerHandle] = {}
         self.buddies: Dict[int, int] = {}
         #: worker → the buddy it last *confirmed* rebinding to. This is
@@ -172,9 +193,7 @@ class ClusterService:
     async def _await_ready(self, handles: List[WorkerHandle]) -> None:
         waits = [h.ready_event.wait() for h in handles]
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*waits), self.config.spawn_timeout
-            )
+            await asyncio.wait_for(asyncio.gather(*waits), SPAWN_TIMEOUT_S)
         except asyncio.TimeoutError:
             missing = [h.worker_id for h in handles if not h.ready_event.is_set()]
             raise RuntimeError(f"workers never reported ready: {missing}")
@@ -389,7 +408,7 @@ class ClusterService:
         if now - handle.last_beat > self.config.miss_threshold * interval:
             return "hang"
         if (
-            handle.beats >= self.config.slow_grace_beats
+            handle.beats >= SLOW_GRACE_BEATS
             and handle.gap_ewma > self.config.slow_factor * interval
         ):
             return "slow"
@@ -476,7 +495,7 @@ class ClusterService:
         self._promotions[key] = future
         buddy.send({"kind": "promote", "victim": victim})
         try:
-            return await asyncio.wait_for(future, self.config.promote_timeout)
+            return await asyncio.wait_for(future, PROMOTE_TIMEOUT_S)
         except asyncio.TimeoutError:
             self.stats["promote_timeouts"] += 1
             return 0
@@ -541,9 +560,10 @@ class ClusterService:
             handle.send({"kind": "drain"})
         waits = [h.drained_event.wait() for h in alive]
         if waits:
-            deadline = self.config.drain_timeout or self.config.spawn_timeout
             with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(asyncio.gather(*waits), deadline)
+                await asyncio.wait_for(
+                    asyncio.gather(*waits), drain_deadline(self.config)
+                )
         report = self._merge_reports(alive)
         await self._shutdown_processes()
         if self._control_server is not None:

@@ -1,12 +1,21 @@
 """Load generator: N concurrent clients replaying trace streams.
 
-Each client owns one session and replays a deterministic
-:class:`~repro.trace.stream.WorkloadModel` access stream (distinct
-``stream_id`` per client, per-client tag derived from the seed) with
-pipelined in-flight accesses. The report rolls up the client-side
-view — completions, verified frames, NACK/retransmit traffic,
-observed backpressure, tail latency — and, when the loadgen hosts the
-service itself, the server's drain report and audit verdict.
+Every served client in the package is a :class:`Driver`: this load
+generator, the cluster scaling sweep and both kill campaigns
+(:mod:`repro.serve.campaign`). A driver owns one session tag and
+replays a deterministic :class:`~repro.trace.stream.WorkloadModel`
+access stream in batches (distinct ``stream_id`` per client and batch,
+per-client tag derived from the seed) with pipelined in-flight
+accesses. It reaches its service through a connect factory
+(:func:`connector`: in-process memory pipes or TCP). When the
+connection drops or the open is refused, it reopens by tag with its
+last progress and resumes the batch from its holes, so a worker death
+under a cluster costs a reconnect, not the batch.
+
+The report rolls up the client-side view — completions, verified
+frames, NACK/retransmit traffic, observed backpressure, tail latency —
+and, when the loadgen hosts the service itself, the server's drain
+report and audit verdict.
 
 ``main()`` is the ``repro-loadgen`` console entry point.
 """
@@ -15,16 +24,37 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Awaitable, Callable, Dict, List, Optional
 
-from repro.serve.client import RemoteClient, SessionRejected
+from repro.serve.client import CLIENT_STATS, RemoteClient, SessionRejected
 from repro.serve.server import LinkService
 from repro.serve.session import ServeConfig
 from repro.trace.stream import WorkloadModel
+
+#: Reconnect backoff while a tag is frozen or a worker is mid-recovery.
+RETRY_SLEEP_S = 0.05
+
+#: A batch that cannot get its session back for this long is abandoned:
+#: the service is refusing the tag for good (session cap, shutdown),
+#: not recovering it. A cluster recovery unfreezes a tag well inside it.
+GIVE_UP_S = 60.0
+
+#: Counters a :class:`Driver` keeps on top of its clients' own.
+DRIVER_STATS = (
+    "planned",
+    "reconnects",
+    "rejected_opens",
+    "resumed",
+    "rebuilt",
+    "lost_sessions",
+)
+
+Connect = Callable[[], Awaitable[RemoteClient]]
 
 
 def client_tag(seed: int, client_index: int) -> int:
@@ -38,6 +68,184 @@ def _percentile(values: List[float], fraction: float) -> float:
     ordered = sorted(values)
     rank = min(len(ordered) - 1, int(fraction * (len(ordered) - 1) + 0.5))
     return ordered[rank]
+
+
+def connector(
+    service: Optional[LinkService] = None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+) -> Connect:
+    """A connect factory: memory pipes into *service* when given, else
+    TCP to ``host:port``."""
+    if service is not None:
+
+        async def connect() -> RemoteClient:
+            return RemoteClient(*service.connect_memory())
+
+    else:
+
+        async def connect() -> RemoteClient:
+            return await RemoteClient.connect_tcp(host, port)
+
+    return connect
+
+
+class Driver:
+    """One reconnect-resilient client: completes access batches by tag.
+
+    ``stats`` sums every :data:`~repro.serve.client.CLIENT_STATS`
+    counter over all its connections, plus :data:`DRIVER_STATS`. A
+    reopen that comes back as a *fresh* session after earlier progress
+    counts as a ``lost_session``: the tag's state is gone, the failure
+    replication exists to rule out.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        tag: int,
+        connect: Connect,
+        benchmark: str = "gcc",
+        window: int = 8,
+        keep: bool = True,
+    ) -> None:
+        self.index = index
+        self.tag = tag
+        self.connect = connect
+        self.benchmark = benchmark
+        self.window = window
+        #: BYE with keep once the last batch is done (a mid-batch close
+        #: always keeps: a resume follows).
+        self.keep = keep
+        self.progress = (0, 0)
+        self.had_progress = False
+        self.batches = 0
+        self.latencies_ms: List[float] = []
+        self.stats = dict.fromkeys(CLIENT_STATS + DRIVER_STATS, 0)
+
+    async def run_batch(self, accesses: int) -> None:
+        """Drive one batch to completion, reopening by tag whenever
+        the connection drops or the open is refused. The batch ends
+        short only when the service announced DRAIN or refused the tag
+        for :data:`GIVE_UP_S`."""
+        workload = WorkloadModel(self.benchmark, seed=self.tag)
+        # Distinct stream per batch keeps the address stream moving
+        # instead of replaying one prefix forever.
+        stream_id = self.index + self.batches * 4096
+        self.batches += 1
+        plan = list(workload.accesses(accesses, stream_id=stream_id))
+        self.stats["planned"] += len(plan)
+        remaining = list(range(len(plan)))
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + GIVE_UP_S
+        while True:
+            client = await self._open()
+            if client is not None:
+                try:
+                    await client.run([plan[i] for i in remaining], self.window)
+                except (ConnectionError, OSError):
+                    pass
+                for key, value in client.stats.items():
+                    self.stats[key] += value
+                self.latencies_ms.extend(client.latencies_ms)
+                self.progress = client.progress
+                self.had_progress = True
+                remaining = [
+                    i
+                    for j, i in enumerate(remaining)
+                    if j not in client.completed_indices
+                ]
+                with contextlib.suppress(Exception):
+                    await client.close(keep=self.keep or bool(remaining))
+                if not remaining or client.draining:
+                    return
+                # Mid-batch drop: the owning worker died or drained.
+                self.stats["reconnects"] += 1
+                give_up = loop.time() + GIVE_UP_S
+            elif loop.time() > give_up:
+                return
+            await asyncio.sleep(RETRY_SLEEP_S)
+
+    async def _open(self) -> Optional[RemoteClient]:
+        try:
+            client = await self.connect()
+        except OSError:
+            return None
+        try:
+            opened = await client.open(0, self.tag, *self.progress)
+        except SessionRejected:
+            # Frozen tag (recovery in flight), a router refusal, a
+            # worker that vanished mid-handshake, or the previous
+            # connection's BYE not yet processed: back off and retry.
+            self.stats["rejected_opens"] += 1
+            with contextlib.suppress(Exception):
+                await client.close(keep=False)
+            return None
+        if opened.resumed:
+            self.stats["resumed"] += 1
+            if opened.rebuilt:
+                self.stats["rebuilt"] += 1
+        elif self.had_progress:
+            self.stats["lost_sessions"] += 1
+        return client
+
+
+def drivers_for(
+    clients: int,
+    seed: int,
+    connect: Connect,
+    benchmark: str = "gcc",
+    window: int = 8,
+    keep: bool = True,
+) -> List[Driver]:
+    """*clients* drivers with the seed's deterministic tags."""
+    return [
+        Driver(i, client_tag(seed, i), connect, benchmark, window, keep)
+        for i in range(clients)
+    ]
+
+
+def driver_totals(drivers: List[Driver]) -> Dict[str, int]:
+    """Every driver counter summed over *drivers*."""
+    return {
+        key: sum(driver.stats[key] for driver in drivers)
+        for key in CLIENT_STATS + DRIVER_STATS
+    }
+
+
+async def run_phase(
+    drivers: List[Driver],
+    accesses: int,
+    until: Optional[Awaitable] = None,
+) -> List[float]:
+    """Run one load phase; returns the latencies it recorded.
+
+    Every driver completes one batch of *accesses*. With *until*, each
+    driver instead runs batches back to back until *until* finishes,
+    then completes the batch in hand: an abandoned half-batch would
+    hide lost work.
+    """
+    marks = [len(driver.latencies_ms) for driver in drivers]
+    if until is None:
+        await asyncio.gather(*(d.run_batch(accesses) for d in drivers))
+    else:
+        done = asyncio.Event()
+
+        async def load(driver: Driver) -> None:
+            while not done.is_set():
+                await driver.run_batch(accesses)
+
+        tasks = [asyncio.ensure_future(load(d)) for d in drivers]
+        try:
+            await until
+        finally:
+            done.set()
+        await asyncio.gather(*tasks)
+    return [
+        ms
+        for driver, mark in zip(drivers, marks)
+        for ms in driver.latencies_ms[mark:]
+    ]
 
 
 @dataclass
@@ -82,13 +290,8 @@ class LoadgenReport:
     def as_dict(self) -> Dict[str, object]:
         return {
             key: getattr(self, key)
-            for key in (
-                "clients", "accesses", "completed", "frames", "nacks",
-                "crc_errors", "backpressure", "retransmits",
-                "silent_corruptions", "link_failures", "sessions_peak",
-                "rejected_opens", "elapsed_s", "lines_per_s",
-                "p50_ms", "p99_ms", "audit_ok", "drained_clean",
-            )
+            for key in self.__dataclass_fields__
+            if key not in ("drain_report", "per_client")
         }
 
 
@@ -108,35 +311,6 @@ async def drain_into(report: LoadgenReport, service: LinkService) -> LoadgenRepo
     return report
 
 
-async def _drive_client(
-    service: Optional[LinkService],
-    host: str,
-    port: int,
-    tag: int,
-    stream_id: int,
-    benchmark: str,
-    accesses: int,
-    window: int,
-    keep: bool,
-) -> RemoteClient:
-    workload = WorkloadModel(benchmark, seed=tag)
-    stream = list(workload.accesses(accesses, stream_id=stream_id))
-    if service is not None:
-        reader, writer = service.connect_memory()
-        client = RemoteClient(reader, writer)
-    else:
-        client = await RemoteClient.connect_tcp(host, port)
-    try:
-        await client.open(client_tag=tag)
-        await client.run(stream, window=window)
-        # keep=True leaves the session resumable server-side, so a
-        # subsequent drain still sees (and audits) every session.
-        await client.close(keep=keep)
-    except SessionRejected:
-        await client.close(keep=False)
-    return client
-
-
 async def run_loadgen(
     clients: int = 4,
     accesses: int = 64,
@@ -146,72 +320,50 @@ async def run_loadgen(
     service: Optional[LinkService] = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    drain_service: Optional[bool] = None,
-    keep_sessions: Optional[bool] = None,
+    keep_sessions: bool = True,
 ) -> LoadgenReport:
-    """Replay *accesses* per client from *clients* concurrent sessions.
+    """Replay one batch of *accesses* from each of *clients* drivers.
 
-    Pass ``service`` to run over in-process memory pipes (the service
-    is drained at the end unless ``drain_service=False``); otherwise
-    connect to ``host:port`` over TCP (no drain — the server owns its
-    own lifecycle). ``keep_sessions`` controls the BYE: keeping them
-    lets a later drain audit every session (the default whenever this
-    call, or the caller, is about to drain a self-hosted service).
+    Pass ``service`` to run over in-process memory pipes and drain the
+    service at the end; otherwise connect to ``host:port`` over TCP (no
+    drain — the server owns its own lifecycle). ``keep_sessions``
+    controls the final BYE: keeping them lets a later drain audit
+    every session.
     """
-    if drain_service is None:
-        drain_service = service is not None
-    if keep_sessions is None:
-        keep_sessions = drain_service
-    started = time.perf_counter()
-    done = await asyncio.gather(
-        *(
-            _drive_client(
-                service, host, port,
-                tag=client_tag(seed, i),
-                stream_id=i,
-                benchmark=benchmark,
-                accesses=accesses,
-                window=window,
-                keep=keep_sessions,
-            )
-            for i in range(clients)
-        )
+    drivers = drivers_for(
+        clients, seed, connector(service, host, port), benchmark, window,
+        keep_sessions,
     )
+    started = time.perf_counter()
+    latencies = await run_phase(drivers, accesses)
     elapsed = time.perf_counter() - started
 
-    report = LoadgenReport(clients=clients, accesses=clients * accesses)
-    latencies: List[float] = []
-    for i, client in enumerate(done):
-        report.completed += client.stats["completed"]
-        report.frames += client.stats["frames"]
-        report.nacks += client.stats["nacks"]
-        report.crc_errors += client.stats["crc_errors"]
-        report.backpressure += client.stats["backpressure"]
-        report.link_failures += client.stats["link_failures"]
-        latencies.extend(client.latencies_ms)
-        report.per_client.append(
-            {
-                "client": i,
-                "tag": client_tag(seed, i),
-                "completed": client.stats["completed"],
-                "nacks": client.stats["nacks"],
-                "crc_errors": client.stats["crc_errors"],
-                "backpressure": client.stats["backpressure"],
-                "retries": client.stats["retries"],
-                "p50_ms": _percentile(client.latencies_ms, 0.50),
-                "p99_ms": _percentile(client.latencies_ms, 0.99),
-            }
-        )
-    report.elapsed_s = elapsed
-    report.lines_per_s = report.completed / elapsed if elapsed > 0 else 0.0
-    report.p50_ms = _percentile(latencies, 0.50)
-    report.p99_ms = _percentile(latencies, 0.99)
-
-    if service is not None and drain_service:
+    totals = driver_totals(drivers)
+    report = LoadgenReport(
+        clients=clients,
+        accesses=totals["planned"],
+        elapsed_s=elapsed,
+        lines_per_s=totals["completed"] / elapsed if elapsed > 0 else 0.0,
+        p50_ms=_percentile(latencies, 0.50),
+        p99_ms=_percentile(latencies, 0.99),
+        **{
+            key: totals[key]
+            for key in ("completed", "frames", "nacks", "crc_errors",
+                        "backpressure", "link_failures")
+        },
+    )
+    report.per_client = [
+        {
+            "client": driver.index,
+            "tag": driver.tag,
+            **driver.stats,
+            "p50_ms": _percentile(driver.latencies_ms, 0.50),
+            "p99_ms": _percentile(driver.latencies_ms, 0.99),
+        }
+        for driver in drivers
+    ]
+    if service is not None:
         await drain_into(report, service)
-    elif service is not None:
-        report.sessions_peak = service.manager.stats["peak_sessions"]
-        report.rejected_opens = service.manager.stats["rejected_opens"]
     return report
 
 

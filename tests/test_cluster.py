@@ -4,12 +4,12 @@ Unit coverage for the sharding substrate: the consistent-hash ring and
 sticky directory, the SHIP_* replica-stream codecs (round-trip + CRC
 damage rejected whole), the shipper→standby-host flow over a loopback
 channel (seed, store tee, promotion), the typed session-admission
-errors — and one end-to-end two-worker cluster where a SIGKILL'd
-worker's session resumes on its buddy through the router.
+errors, the kill storm's mode schedule — and one end-to-end
+two-worker cluster where the loadgen's reconnecting driver resumes a
+SIGKILL'd worker's session on its buddy through the router.
 """
 
 import asyncio
-import contextlib
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro.core.errors import (
     SessionAdmissionError,
     SessionLimitError,
 )
+from repro.fault.injectors import WorkerFaultInjector
 from repro.replica.remote import (
     SessionShipper,
     StandbySessionHost,
@@ -34,7 +35,13 @@ from repro.replica.remote import (
 from repro.serve.client import RemoteClient, SessionRejected
 from repro.serve.cluster.config import ClusterConfig
 from repro.serve.cluster.ring import HashRing, SessionDirectory
-from repro.serve.cluster.supervisor import ClusterService
+from repro.serve.cluster.supervisor import (
+    DRAIN_S_PER_SESSION,
+    SPAWN_TIMEOUT_S,
+    ClusterService,
+    drain_deadline,
+)
+from repro.serve.loadgen import Driver, connector
 from repro.serve.server import LinkService
 from repro.serve.session import ServeConfig, Session, SessionManager
 from repro.trace.stream import WorkloadModel
@@ -314,6 +321,29 @@ class TestSessionAdmission:
 
 
 # ---------------------------------------------------------------------------
+# Kill storm schedule
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerFaultInjector:
+    def test_mode_sequence_ignores_alive_count(self):
+        # Respawn timing changes how many workers are alive at a kill;
+        # the victim draw must not shift the mode split the cluster
+        # table drift-checks. (A power-of-two count rejects on the same
+        # top bit as any other, so 3 and 5 are what tell a shared
+        # stream apart.)
+        sequences = set()
+        for alive in (2, 3, 5, 8):
+            injector = WorkerFaultInjector(0xCAB1E)
+            sequences.add(
+                tuple(injector.next_fault(range(alive))[1] for _ in range(200))
+            )
+        assert len(sequences) == 1
+        modes = {mode for mode, _ in WorkerFaultInjector.MODE_WEIGHTS}
+        assert set(sequences.pop()) == modes
+
+
+# ---------------------------------------------------------------------------
 # End to end: two workers, one SIGKILL, session resumes on the buddy
 # ---------------------------------------------------------------------------
 
@@ -329,48 +359,29 @@ class TestClusterFailover:
             )
             service = ClusterService(config)
             host, port = await service.start()
+            tag = 0xBEEF
+            driver = Driver(0, tag, connector(host=host, port=port), window=4)
             try:
-                tag = 0xBEEF
-                victim = service.directory.lookup(tag)
-                workload = WorkloadModel("gcc", seed=tag)
-                plan = list(workload.accesses(24, stream_id=0))
-                client = await RemoteClient.connect_tcp(host, port)
-                opened = await client.open(0, tag)
-                assert not opened.resumed
-                completed = await client.run(plan, window=4)
-                assert completed == len(plan)
-                progress = client.progress
-                await client.close(keep=True)
-                await asyncio.sleep(0.3)  # let the last flush land
-
-                assert service.kill_worker(victim)
+                # Enough gcc traffic that the 16KB home cache writes
+                # lines back: the buddy must mirror real store writes,
+                # not only the seed.
+                await driver.run_batch(600)
+                assert driver.stats["completed"] == 600
+                assert driver.stats["resumed"] == 0  # one fresh session
+                await asyncio.sleep(0.3)  # let the last store writes land
+                assert service.kill_worker(service.directory.lookup(tag))
                 await service.wait_recoveries(1, timeout=30.0)
-
-                resumed = None
-                for _ in range(200):
-                    try:
-                        client = await RemoteClient.connect_tcp(host, port)
-                    except OSError:
-                        await asyncio.sleep(0.05)
-                        continue
-                    try:
-                        resumed = await client.open(0, tag, *progress)
-                        break
-                    except SessionRejected:
-                        with contextlib.suppress(Exception):
-                            await client.close(keep=False)
-                        await asyncio.sleep(0.05)
-                # The tag's state survived the kill: this is a resume,
-                # not a fresh session (fresh == the journal was lost).
-                assert resumed is not None and resumed.resumed
-                plan2 = list(workload.accesses(12, stream_id=1))
-                completed2 = await client.run(plan2, window=4)
-                assert completed2 == len(plan2)
-                await client.close(keep=True)
+                await driver.run_batch(12)
             finally:
                 report = await service.drain()
+            # The tag's state survived the kill: the reopen resumed on
+            # the buddy instead of starting fresh.
+            assert driver.stats["resumed"] >= 1
+            assert driver.stats["lost_sessions"] == 0
+            assert driver.stats["completed"] == driver.stats["planned"] == 612
             assert report["supervisor"]["recoveries_crash"] == 1
             assert report["standby"]["promotions"] >= 1
+            assert report["standby"]["store_writes_applied"] > 0
             assert report["serve"]["silent_corruptions"] == 0
             assert report["drained_clean"] == 1
 
@@ -410,8 +421,10 @@ class TestControlPlaneFraming:
         assert channel == CTRL
         assert decode_ctrl(payload) == message
 
-    def test_drain_timeout_defaults_to_spawn_timeout(self):
-        config = ClusterConfig()
-        assert config.drain_timeout == 0.0  # 0 -> spawn_timeout fallback
-        soak = ClusterConfig(drain_timeout=192.0)
-        assert soak.drain_timeout == 192.0
+    def test_drain_deadline_scales_with_max_sessions(self):
+        # Each worker audits every session it holds at drain, so the
+        # deadline grows with the sessions a worker may hold; small
+        # clusters keep the spawn floor.
+        assert drain_deadline(ClusterConfig(max_sessions=16)) == SPAWN_TIMEOUT_S
+        soak = ClusterConfig(max_sessions=256 + 8)
+        assert drain_deadline(soak) == DRAIN_S_PER_SESSION * 264 > SPAWN_TIMEOUT_S

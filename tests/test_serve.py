@@ -19,7 +19,7 @@ import asyncio
 import pytest
 
 from repro.serve.client import RemoteClient, SessionRejected
-from repro.serve.loadgen import client_tag, run_loadgen
+from repro.serve.loadgen import Driver, client_tag, connector, run_loadgen
 from repro.serve.server import LinkService
 from repro.serve.session import ServeConfig, synthetic_line
 from repro.serve.transport import StreamSender
@@ -201,6 +201,99 @@ class TestLoadgen:
         tags = [client_tag(123, i) for i in range(8)]
         assert tags == [client_tag(123, i) for i in range(8)]
         assert len(set(tags)) == 8
+
+    def test_driver_resumes_a_cut_connection_by_tag(self):
+        # Drop the server's side of the pipe mid-batch, as a dying
+        # worker would: the client must reopen by tag, resume the same
+        # session, replay only its holes, and leave an auditable drain.
+        async def scenario():
+            service = LinkService(ServeConfig())
+            transfers = []
+
+            def cut_mid_batch(session):
+                def listen(record):
+                    transfers.append(record)
+                    if len(transfers) == 40:
+                        session.sender.writer.close()
+
+                session.pair.listeners.append(listen)
+
+            service.manager.on_open = cut_mid_batch
+            driver = Driver(0, 0x5A, connector(service), window=8)
+            await driver.run_batch(120)
+            cut = dict(driver.stats)
+            # A clean BYE between batches: the reopen echoes the
+            # progress the session reached, so it resumes unrebuilt.
+            await driver.run_batch(20)
+            report = await service.drain()
+            await service.stop()
+            return cut, driver.stats, report
+
+        cut, stats, report = asyncio.run(scenario())
+        assert cut["reconnects"] >= 1
+        assert cut["resumed"] >= 1
+        assert cut["lost_sessions"] == 0
+        assert cut["completed"] == cut["planned"] == 120
+        assert stats["resumed"] == cut["resumed"] + 1
+        assert stats["rebuilt"] == cut["rebuilt"]
+        assert stats["completed"] == stats["planned"] == 140
+        assert report["sessions"] == 1
+        assert report["silent_corruptions"] == 0
+        assert report["audit_failures"] == 0
+        assert report["drained_clean"] == 1
+
+    def test_driver_gives_up_on_a_tag_refused_for_good(self, monkeypatch):
+        # A full service refuses the open on every retry; the batch
+        # must end short instead of spinning forever.
+        from repro.serve import loadgen
+
+        monkeypatch.setattr(loadgen, "GIVE_UP_S", 0.2)
+
+        async def scenario():
+            service = LinkService(ServeConfig(max_sessions=1))
+            holder = connect(service)
+            await holder.open(client_tag=1)
+            driver = Driver(0, 2, connector(service))
+            await asyncio.wait_for(driver.run_batch(8), timeout=10)
+            await holder.close(keep=True)
+            await service.drain()
+            await service.stop()
+            return driver.stats
+
+        stats = asyncio.run(scenario())
+        assert stats["completed"] == 0 < stats["planned"]
+        assert stats["rejected_opens"] >= 2
+
+    def test_driver_stops_when_the_service_drains(self):
+        # DRAIN means the service is going away: reopening would only
+        # be refused, so the batch ends with what completed.
+        async def scenario():
+            service = LinkService(ServeConfig())
+            transfers = []
+            shutdown = []
+
+            async def drain_and_stop():
+                report = await service.drain()
+                await service.stop()
+                return report
+
+            def drain_mid_batch(session):
+                def listen(record):
+                    transfers.append(record)
+                    if len(transfers) == 40:
+                        shutdown.append(asyncio.ensure_future(drain_and_stop()))
+
+                session.pair.listeners.append(listen)
+
+            service.manager.on_open = drain_mid_batch
+            driver = Driver(0, 0x5B, connector(service))
+            await asyncio.wait_for(driver.run_batch(400), timeout=10)
+            return driver.stats, await shutdown[0]
+
+        stats, report = asyncio.run(scenario())
+        assert 0 < stats["completed"] < stats["planned"]
+        assert stats["reconnects"] == 0
+        assert report["drained_clean"] == 1
 
     def test_loadgen_cli_memory_mode(self, capsys):
         from repro.serve.loadgen import main

@@ -197,6 +197,33 @@ class TestKillCampaign:
 
         asyncio.run(scenario())
 
+    def test_campaign_ledger_is_transport_independent(self):
+        # The served campaign over memory pipes and over localhost TCP:
+        # kills land on access ordinals, so the kill/promotion ledger
+        # cannot depend on the transport.
+        from repro.serve.campaign import run_failover_campaign
+
+        plan = FailoverPlan(
+            seed=7, kill_rate=0.05, scripted_kills=(6,), batch_drop_rate=0.1
+        )
+        runs = [
+            run_failover_campaign(
+                plan, clients=4, accesses=32, tcp=tcp, baseline=False
+            )
+            for tcp in (False, True)
+        ]
+        ledger = [
+            (r.kills, r.hot_promotions, r.warm_promotions, r.lost_records,
+             r.catch_ups, r.batches_shipped, r.batches_lost, r.replica_lag_peak)
+            for r in runs
+        ]
+        assert ledger[0] == ledger[1]
+        for report in runs:
+            assert report.ok
+            assert report.kills >= 4
+            assert report.recoveries == report.kills
+            assert report.completed == report.planned == 4 * 32
+
     def test_failover_plan_requires_replication(self):
         with pytest.raises(ValueError):
             LinkService(

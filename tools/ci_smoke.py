@@ -96,8 +96,8 @@ def smoke_failover() -> int:
     """Kill-under-load over TCP with a sabotaged replication stream,
     plus the same plan over memory pipes: the kill/promotion ledger
     must be identical on both transports."""
-    from repro.fault.campaign import run_failover_campaign
     from repro.replica.plan import FailoverPlan
+    from repro.serve.campaign import run_failover_campaign
 
     plan = FailoverPlan(
         seed=0xF0, kill_rate=0.03, scripted_kills=(5, 17, 29),
@@ -152,12 +152,14 @@ def smoke_cluster() -> int:
     """Sharded service across process boundaries under a kill storm."""
     import asyncio
 
-    from repro.serve.cluster.campaign import run_cluster_campaign
+    from repro.serve.campaign import run_cluster_campaign
 
     OUTPUT_DIR.mkdir(exist_ok=True)
     report = asyncio.run(run_cluster_campaign(workers=4, clients=32, kills=8))
     print(
-        f"kills={report.kills} recoveries={report.recoveries} "
+        f"kills={report.kills} "
+        f"sigkill/hang/slow={report.kills_sigkill}/{report.kills_hang}/"
+        f"{report.kills_slow} recoveries={report.recoveries} "
         f"failed_over={report.sessions_failed_over} "
         f"adopted={report.sessions_adopted} "
         f"lost={report.lost_sessions} "
@@ -193,7 +195,7 @@ def smoke_tune() -> int:
     import asyncio
 
     from repro.obs.registry import METRICS
-    from repro.serve.cluster.campaign import run_cluster_campaign
+    from repro.serve.campaign import run_cluster_campaign
     from repro.serve.loadgen import run_loadgen
     from repro.serve.server import LinkService
     from repro.serve.session import ServeConfig
@@ -329,19 +331,19 @@ def smoke_tiers() -> int:
 def smoke_cluster_soak() -> int:
     """The 256-client soak (ROADMAP item 1), scheduled-job sized.
 
-    Same campaign and gates as ``tests/test_cluster_soak.py``; runs
-    from the scheduled soak workflow, not the PR matrix.
+    Runs from the scheduled soak workflow, not the PR matrix; the
+    campaign's own ``ok`` is the gate, and the report is archived.
     """
     import asyncio
 
-    from repro.serve.cluster.campaign import run_cluster_campaign
+    from repro.serve.campaign import run_cluster_campaign
 
     OUTPUT_DIR.mkdir(exist_ok=True)
     report = asyncio.run(
         run_cluster_campaign(
             workers=8, clients=256, kills=64,
             baseline_accesses=32, batch_accesses=24, seed=0xCAB1E,
-            heartbeat_interval=0.25, blip_limit=8.0,
+            heartbeat_interval=0.25,
         )
     )
     print(
