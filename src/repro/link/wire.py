@@ -29,6 +29,8 @@ For lossy links, :func:`encode_frame`/:func:`decode_frame` wrap the
 payload in a link-layer frame — ``seq(4) | payload | crc(8|16)`` —
 whose CRC detects every single-bit flip and whose sequence tag rejects
 reordered/replayed frames (see :mod:`repro.link.recovery`).
+:func:`verify_frame` is the check alone, for a receiver that does not
+need the tokens.
 
 Every transfer crosses these codecs several times, so they cost work
 per field: LBE literal runs, byte runs and raw lines move as one
@@ -644,6 +646,40 @@ def encode_frame(
     return writer
 
 
+def verify_frame(
+    data: bytes,
+    bit_count: int,
+    crc_bits: int = 16,
+    seq_bits: int = FRAME_SEQ_BITS,
+    expected_seq: Optional[int] = None,
+) -> int:
+    """Check one frame's length, CRC and sequence tag; returns the seq.
+
+    Raises :class:`~repro.core.errors.TruncatedPayloadError` when the
+    frame is too short to hold even an empty payload,
+    :class:`~repro.core.errors.CrcMismatchError` on checksum failure,
+    and :class:`~repro.core.errors.SequenceError` when *expected_seq*
+    is given and the tag disagrees. No token is parsed: a receiver that
+    only forwards or acknowledges the frame stops here.
+    """
+    if bit_count < seq_bits + crc_bits + FLAG_BITS or bit_count > len(data) * 8:
+        raise TruncatedPayloadError(
+            f"frame of {bit_count} bits cannot hold seq+payload+crc"
+        )
+    received_crc = _trailing_field(data, bit_count, crc_bits)
+    computed = frame_crc(data, bit_count - crc_bits, crc_bits)
+    if received_crc != computed:
+        raise CrcMismatchError(
+            f"frame CRC {received_crc:#x} != computed {computed:#x}"
+        )
+    seq = _trailing_field(data, seq_bits, seq_bits)
+    if expected_seq is not None and seq != expected_seq:
+        raise SequenceError(
+            f"frame seq {seq} arrived while expecting {expected_seq}"
+        )
+    return seq
+
+
 def decode_frame(
     data: bytes,
     bit_count: int,
@@ -655,36 +691,20 @@ def decode_frame(
 ) -> Tuple[int, DecodedPayload]:
     """Verify and parse one frame; returns ``(seq, decoded)``.
 
-    Raises :class:`~repro.core.errors.CrcMismatchError` on checksum
-    failure (checked *before* any token parsing — corrupted bits never
-    reach the codecs), :class:`~repro.core.errors.SequenceError` when
-    *expected_seq* is given and the tag disagrees, and
-    :class:`~repro.core.errors.TruncatedPayloadError` when the frame is
-    too short to hold even an empty payload.
+    :func:`verify_frame` runs first and raises its typed errors, so
+    corrupted bits never reach the codecs; the token parse then raises
+    :class:`~repro.core.errors.TruncatedPayloadError` or
+    :class:`~repro.core.errors.CorruptPayloadError`.
     """
     enabled = METRICS.enabled
     if enabled:
         t0 = perf_counter_ns()
-    min_bits = seq_bits + crc_bits + FLAG_BITS
-    if bit_count < min_bits or bit_count > len(data) * 8:
-        raise TruncatedPayloadError(
-            f"frame of {bit_count} bits cannot hold seq+payload+crc"
-        )
-    prefix_bits = bit_count - crc_bits
-    received_crc = _trailing_field(data, bit_count, crc_bits)
-    computed = frame_crc(data, prefix_bits, crc_bits)
-    if received_crc != computed:
-        raise CrcMismatchError(
-            f"frame CRC {received_crc:#x} != computed {computed:#x}"
-        )
-    reader = BitReader(data, prefix_bits)
-    seq = reader.read(seq_bits)
-    if expected_seq is not None and seq != expected_seq:
-        raise SequenceError(
-            f"frame seq {seq} arrived while expecting {expected_seq}"
-        )
+    seq = verify_frame(data, bit_count, crc_bits, seq_bits, expected_seq)
     if not engine_name.startswith(_KNOWN_ENGINES):
         raise ValueError(f"no wire codec for engine {engine_name!r}")
+    prefix_bits = bit_count - crc_bits
+    reader = BitReader(data, prefix_bits)
+    reader.seek(seq_bits)
     try:
         decoded = _parse_payload(
             reader, prefix_bits - seq_bits, engine_name, fmt
@@ -876,15 +896,9 @@ def decode_epoch_frame(
         raise TruncatedPayloadError(
             f"epoch frame of {bit_count} bits, expected {expected}"
         )
-    prefix_bits = bit_count - crc_bits
-    received_crc = _trailing_field(data, bit_count, crc_bits)
-    computed = frame_crc(data, prefix_bits, crc_bits)
-    if received_crc != computed:
-        raise CrcMismatchError(
-            f"epoch frame CRC {received_crc:#x} != computed {computed:#x}"
-        )
-    reader = BitReader(data, prefix_bits)
-    reader.read(seq_bits)
+    verify_frame(data, bit_count, crc_bits, seq_bits)
+    reader = BitReader(data, bit_count - crc_bits)
+    reader.seek(seq_bits)
     if reader.read(8) != EPOCH_FRAME_MAGIC:
         raise CorruptPayloadError("epoch frame magic mismatch")
     kind = reader.read(2)

@@ -30,8 +30,10 @@ Layering:
 
 Invariants the tests and benchmarks pin: per-session send queues are
 *bounded* (overflow is an explicit RETRY, never unbounded buffering);
-every shipped frame is structurally verified by the client (CRC +
-bit-exact parse) and byte-verified by the server-side checker;
+the client checks every shipped frame's length, CRC-16 and sequence
+tag, and the bit-exact parse runs once, in
+:meth:`~repro.link.recovery.ReliableLink.deliver`, over the bytes that
+CRC covers, before the server-side checker byte-verifies the line;
 shutdown is a graceful drain — stop accepting, flush retransmit
 windows, checkpoint durable state, audit.
 """

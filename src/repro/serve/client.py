@@ -2,25 +2,28 @@
 
 A :class:`RemoteClient` opens (or resumes) one session with the
 HELLO/EPOCH handshake, then drives accesses through a pipelined
-window. Every FRAME the server ships is *structurally verified* on
-this side of the wire — CRC check, bit-exact token parse, sequence
-cross-check via :func:`repro.link.wire.decode_frame` — and any frame
+window. Every FRAME the server ships is checked on this side of the
+wire with :func:`repro.link.wire.verify_frame` — length, CRC-16 over
+the bits and their bit count, and the sequence tag — and any frame
 that fails (or never arrives) is NACKed so the server retransmits the
-pristine copy from its window. Backpressure is first-class: a RETRY
-answer makes the client back off for the server's hinted interval and
-resend, so admission rejection is flow control, not data loss.
+pristine copy from its window. The bit-exact token parse runs once,
+in the server's :meth:`~repro.link.recovery.ReliableLink.deliver`,
+over the same bytes the CRC covers. Backpressure is first-class: a
+RETRY answer makes the client back off for the server's hinted
+interval and resend, so admission rejection is flow control, not data
+loss.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import CableConfig
 from repro.core.errors import WireDecodeError
-from repro.link.wire import FrameDecoder, decode_frame, wire_format_for
+from repro.link.wire import FrameDecoder, verify_frame
 from repro.obs.registry import METRICS
 from repro.serve import protocol
 from repro.serve.transport import READ_CHUNK, StreamSender
@@ -84,10 +87,7 @@ class RemoteClient:
         self.reader = reader
         self.sender = StreamSender(writer)
         self.decoder = FrameDecoder()
-        cable = CableConfig()
-        self.engine_name = cable.engine
-        self.fmt = wire_format_for(cable)
-        self._inbox: List[Tuple[int, bytes, int]] = []
+        self._inbox: Deque[Tuple[int, bytes, int]] = deque()
         self._eof = False
         self.draining = False  # server announced DRAIN: no new accesses
         self.progress: Tuple[int, int] = (0, 0)
@@ -116,7 +116,7 @@ class RemoteClient:
                 self._eof = True
                 return None
             self._inbox.extend(self.decoder.feed(chunk))
-        return self._inbox.pop(0)
+        return self._inbox.popleft()
 
     # ------------------------------------------------------------------
     # Handshake
@@ -167,11 +167,17 @@ class RemoteClient:
         Returns the number of accesses completed (all frames verified,
         RESULT received). Shorter than ``len(accesses)`` only when the
         server drained mid-run or the connection dropped.
+
+        Records already received are handled back to back: the loop
+        drains the sender (on memory pipes, a pass through the event
+        loop) only after queueing an ACCESS or once the inbox is empty.
+        NACKs sent in between leave on the sender's end-of-pass flush.
         """
         pending: Dict[int, _Pending] = {}
         self.completed_indices = set()  # indices are per-run positions
         next_index = 0
         while next_index < len(accesses) or pending:
+            sent = False
             while (
                 not self.draining
                 and not self._eof
@@ -188,7 +194,9 @@ class RemoteClient:
                 pending[next_index] = _Pending(time.perf_counter_ns(), record)
                 self.sender.send(record)
                 next_index += 1
-            await self.sender.drain()
+                sent = True
+            if sent or not self._inbox:
+                await self.sender.drain()
             if not pending:
                 if self.draining or self._eof:
                     break
@@ -205,19 +213,13 @@ class RemoteClient:
         channel, payload, bits = record
         if channel == protocol.MSG_FRAME:
             index, _direction, pos, seq, frame_bytes, frame_bits = (
-                protocol.decode_frame_record(payload, bits)
+                protocol.decode_shipped_frame(payload, bits)
             )
             entry = pending.get(index)
             if entry is None:
                 return  # late retransmit for an already-completed access
             try:
-                decode_frame(
-                    frame_bytes,
-                    frame_bits,
-                    self.engine_name,
-                    self.fmt,
-                    expected_seq=seq,
-                )
+                verify_frame(frame_bytes, frame_bits, expected_seq=seq)
             except WireDecodeError:
                 self.stats["crc_errors"] += 1
                 self._nack(entry, index, pos, renack=True)
@@ -256,6 +258,12 @@ class RemoteClient:
             await self.sender.drain()
         elif channel == protocol.MSG_DRAIN:
             self.draining = True
+            # A DRAIN naming an access refuses it: the service will
+            # never answer it, so stop waiting. It stays uncompleted,
+            # a hole that loadgen.Driver resumes from.
+            refused = protocol.decode_drain(payload)
+            if refused is not None:
+                pending.pop(refused, None)
 
     def _nack(
         self, entry: _Pending, index: int, pos: int, renack: bool = False

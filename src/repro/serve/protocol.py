@@ -12,6 +12,7 @@ the real wire codecs unchanged:
 - FRAME appends one full link-layer frame
   (:func:`repro.link.wire.encode_frame` output) after a 7-byte
   header, byte-aligned so the receiver can hand the tail straight to
+  :func:`repro.link.wire.verify_frame` or
   :func:`repro.link.wire.decode_frame`.
 
 Malformed payloads raise
@@ -65,6 +66,7 @@ _FRAME_HDR = struct.Struct(">IBBB")  # index, direction, pos, seq
 _RESULT_HDR = struct.Struct(">IHBII")  # index, frames, status, epoch, records
 _NACK_HDR = struct.Struct(">IB")  # index, pos
 _RETRY_HDR = struct.Struct(">IH")  # index, retry_after_ms
+_DRAIN_HDR = struct.Struct(">I")  # refused index (absent when broadcast)
 _BYE_HDR = struct.Struct(">B")  # keep_session
 
 DIR_FILL = 0
@@ -141,7 +143,7 @@ def decode_access(payload: bytes) -> Tuple[int, int, bool, Optional[bytes]]:
     return index, line_addr, bool(flags & _ACCESS_WRITE), data
 
 
-def encode_frame_record(
+def encode_shipped_frame(
     index: int,
     direction: str,
     pos: int,
@@ -155,13 +157,13 @@ def encode_frame_record(
     )
 
 
-def decode_frame_record(
+def decode_shipped_frame(
     payload: bytes, bit_count: int
 ) -> Tuple[int, int, int, int, bytes, int]:
     """→ ``(index, direction, pos, seq, frame_bytes, frame_bits)``.
 
     ``frame_bytes``/``frame_bits`` slice out the embedded link frame,
-    ready for :func:`repro.link.wire.decode_frame`.
+    ready for :func:`repro.link.wire.verify_frame`.
     """
     _require(payload, _FRAME_HDR.size, "FRAME")
     index, direction, pos, seq = _FRAME_HDR.unpack_from(payload)
@@ -203,8 +205,18 @@ def decode_retry(payload: bytes) -> Tuple[int, int]:
     return _RETRY_HDR.unpack_from(payload)
 
 
-def encode_drain() -> bytes:
-    return _record(MSG_DRAIN, b"")
+def encode_drain(index: Optional[int] = None) -> bytes:
+    """The broadcast DRAIN carries nothing; the answer to an ACCESS
+    that arrives while draining names the refused *index*."""
+    return _record(MSG_DRAIN, b"" if index is None else _DRAIN_HDR.pack(index))
+
+
+def decode_drain(payload: bytes) -> Optional[int]:
+    """→ the refused access index, or None for the broadcast."""
+    if not payload:
+        return None
+    _require(payload, _DRAIN_HDR.size, "DRAIN")
+    return _DRAIN_HDR.unpack_from(payload)[0]
 
 
 def encode_bye(keep_session: bool) -> bytes:

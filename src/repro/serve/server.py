@@ -136,7 +136,7 @@ class LinkService:
         if channel == protocol.MSG_ACCESS:
             index, addr, is_write, data = protocol.decode_access(payload)
             if self.manager.draining:
-                sender.send(protocol.encode_drain())
+                sender.send(protocol.encode_drain(index))
                 return session, False, keep_session
             if not session.admit(index, addr, is_write, data):
                 sender.send(protocol.encode_retry(index, cfg.retry_after_ms))

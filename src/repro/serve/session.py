@@ -12,9 +12,10 @@ session composes. The socket carries the *actual encoded frames*:
 every transfer's frame is encoded once, by the pair's
 :class:`~repro.link.recovery.ReliableLink`, and the session ships the
 frame that decoded (the :attr:`~repro.core.encoder.TransferRecord.frame`
-its listener captured) to the client, which performs the structural
-decode (CRC, bit-exact token parse, sequence cross-check) on its side
-of the wire.
+its listener captured) to the client, which checks its length,
+CRC-16 and sequence tag on its side of the wire; the bit-exact token
+parse runs once, in ``ReliableLink.deliver``, over the bytes that CRC
+covers.
 
 Admission control is explicit and bounded: accesses land in a
 per-session :class:`asyncio.Queue` of fixed depth; overflow is
@@ -101,8 +102,8 @@ class ServeConfig:
     home_kb: int = 16
     remote_kb: int = 4
     #: Wire faults applied to the *shipped copy* of outgoing frames
-    #: (the in-process delivery stays clean; the client's structural
-    #: decode catches the damage and NACKs). Reseeded per session.
+    #: (the in-process delivery stays clean; the client's frame check
+    #: catches the damage and NACKs). Reseeded per session.
     faults: Optional[FaultPlan] = None
     #: Per-session durability (epoch/journal state for resume).
     durability: DurabilityPolicy = field(default_factory=DurabilityPolicy)
@@ -225,7 +226,9 @@ class Session:
         direction, seq, frame_bytes, frame_bits = entry
         name = "fill" if direction == protocol.DIR_FILL else "writeback"
         self.sender.send(
-            protocol.encode_frame_record(index, name, pos, seq, frame_bytes, frame_bits)
+            protocol.encode_shipped_frame(
+                index, name, pos, seq, frame_bytes, frame_bits
+            )
         )
         self.stats["retransmits"] += 1
         if METRICS.enabled:
@@ -359,7 +362,7 @@ class Session:
                 _CTR_DROPPED.inc()
             return
         self.sender.send(
-            protocol.encode_frame_record(
+            protocol.encode_shipped_frame(
                 index, direction, pos, seq, shipped, shipped_bits
             )
         )

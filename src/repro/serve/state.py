@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 import struct
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import InclusivePair
@@ -37,18 +38,23 @@ _CTR_RESYNCS = METRICS.counter("serve.session_resyncs")
 _CTR_KILLS = METRICS.counter("replica.primary_kills")
 
 
+@lru_cache(maxsize=1024)
+def _archetype(seed: int, line_bytes: int) -> bytes:
+    rng = random.Random(seed)
+    words = [rng.getrandbits(32) | 0x01000000 for _ in range(line_bytes // 4)]
+    return struct.pack(f"<{len(words)}I", *words)
+
+
 def synthetic_line(tag: int, addr: int, line_bytes: int = 64) -> bytes:
     """Deterministic backing-store content for (session tag, addr).
 
     Five archetype lines stamped with the address — the same shape the
     fault campaigns use, so reference compression engages without the
-    server needing any knowledge of the client's workload model.
+    server needing any knowledge of the client's workload model. Each
+    tag's archetypes are drawn once and memoized.
     """
-    rng = random.Random((tag << 3) | (addr % 5))
-    words = [rng.getrandbits(32) | 0x01000000 for _ in range(line_bytes // 4)]
-    line = bytearray(struct.pack(f"<{len(words)}I", *words))
-    struct.pack_into("<I", line, line_bytes - 4, addr & 0xFFFFFFFF)
-    return bytes(line)
+    archetype = _archetype((tag << 3) | (addr % 5), line_bytes)
+    return archetype[:-4] + (addr & 0xFFFFFFFF).to_bytes(4, "little")
 
 
 class SessionState:

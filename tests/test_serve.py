@@ -5,8 +5,10 @@ LinkService ⇄ verified CableLinkPair — over memory pipes (arbitrary
 chunk boundaries, no sockets). The invariants pinned here are the
 serving layer's contract:
 
-- every access completes with every frame structurally verified
-  client-side (CRC + bit-exact parse + sequence cross-check);
+- every access completes with every frame checked client-side
+  (length, CRC-16 and sequence tag); the bit-exact token parse runs
+  once, server-side in ``ReliableLink.deliver``, over the bytes that
+  CRC covers;
 - send queues are bounded: overflow surfaces as RETRY/backpressure,
   never as unbounded buffering or data loss;
 - injected wire damage is detected and repaired via NACK/retransmit,
@@ -15,6 +17,8 @@ serving layer's contract:
 """
 
 import asyncio
+import random
+import struct
 
 import pytest
 
@@ -47,7 +51,7 @@ class TestRoundtrip:
             completed = await client.run(accesses, window=8)
             assert completed == len(accesses)
             # Every completion implies every frame passed the client's
-            # structural decode; a clean run has no NACK traffic.
+            # frame check; a clean run has no NACK traffic.
             assert client.stats["frames"] >= completed
             assert client.stats["crc_errors"] == 0
             assert client.stats["nacks"] == 0
@@ -67,6 +71,22 @@ class TestRoundtrip:
         # the property the drift checks lean on.
         assert synthetic_line(7, 0x40) == synthetic_line(7, 0x40)
         assert synthetic_line(7, 0x40) != synthetic_line(8, 0x40)
+
+        # The memoized archetypes give the bytes of the direct seeded
+        # draw, the oracle the archived serving tables were made with.
+        def seeded_line(tag, addr, line_bytes=64):
+            rng = random.Random((tag << 3) | (addr % 5))
+            words = [rng.getrandbits(32) | 0x01000000 for _ in range(line_bytes // 4)]
+            line = bytearray(struct.pack(f"<{len(words)}I", *words))
+            struct.pack_into("<I", line, line_bytes - 4, addr & 0xFFFFFFFF)
+            return bytes(line)
+
+        for tag in (0, 7, 0x5A, 0xFFFFFFFF):
+            for addr in (0, 1, 4, 5, 0x40, 0x3FFFF, 1 << 40):
+                for line_bytes in (32, 64, 128):
+                    assert synthetic_line(tag, addr, line_bytes) == seeded_line(
+                        tag, addr, line_bytes
+                    )
 
     def test_writes_round_trip_through_home(self):
         async def scenario():
@@ -130,15 +150,33 @@ class TestFaultRecovery:
     def test_wire_faults_are_nacked_and_retransmitted(self):
         from repro.fault.plan import FaultPlan
 
+        damaged = []
+
+        def count_damage(session):
+            corrupt = session.wire_faults.corrupt
+
+            def counting_corrupt(data, bits):
+                shipped, shipped_bits = corrupt(data, bits)
+                # A frame cut to nothing ships as a drop, not damage.
+                if shipped_bits > 0 and (shipped, shipped_bits) != (data, bits):
+                    damaged.append(shipped_bits)
+                return shipped, shipped_bits
+
+            session.wire_faults.corrupt = counting_corrupt
+
         async def scenario():
             config = ServeConfig(faults=FaultPlan.uniform(0.08, seed=901))
             service = LinkService(config)
+            service.manager.on_open = count_damage
             client = connect(service)
             await client.open(client_tag=17)
             accesses = stream_for(17, 80)
             completed = await client.run(accesses, window=8)
             assert completed == len(accesses)
             assert client.stats["nacks"] > 0
+            # Every damaged frame that reached the client was caught.
+            assert damaged
+            assert client.stats["crc_errors"] == len(damaged)
             await client.close(keep=True)
             report = await service.drain()
             await service.stop()
@@ -181,6 +219,25 @@ class TestGracefulDrain:
             assert second["audit_failures"] == 0
 
         asyncio.run(scenario())
+
+    def test_drain_roundtrips_with_and_without_an_index(self):
+        # The broadcast DRAIN is empty; the refusal of one ACCESS names
+        # its index, index 0 included.
+        from repro.link.wire import FrameDecoder
+        from repro.serve import protocol
+
+        stream = (
+            protocol.encode_drain()
+            + protocol.encode_drain(0)
+            + protocol.encode_drain(0xFFFFFFFF)
+        )
+        records = FrameDecoder().feed(stream)
+        assert [channel for channel, _, _ in records] == [protocol.MSG_DRAIN] * 3
+        assert [protocol.decode_drain(payload) for _, payload, _ in records] == [
+            None,
+            0,
+            0xFFFFFFFF,
+        ]
 
 
 class TestLoadgen:
@@ -295,6 +352,35 @@ class TestLoadgen:
         assert stats["reconnects"] == 0
         assert report["drained_clean"] == 1
 
+    def test_driver_stops_waiting_on_accesses_refused_by_a_drain(self):
+        # A drain without stop() keeps the connection open. The
+        # accesses the service refused while draining are never
+        # answered, so the client must stop waiting on them.
+        async def scenario():
+            service = LinkService(ServeConfig())
+            transfers = []
+            drains = []
+
+            def drain_mid_batch(session):
+                def listen(record):
+                    transfers.append(record)
+                    if len(transfers) == 40:
+                        drains.append(asyncio.ensure_future(service.drain()))
+
+                session.pair.listeners.append(listen)
+
+            service.manager.on_open = drain_mid_batch
+            driver = Driver(0, 0x5C, connector(service))
+            await asyncio.wait_for(driver.run_batch(400), timeout=5)
+            report = await drains[0]
+            await service.stop()
+            return driver.stats, report
+
+        stats, report = asyncio.run(scenario())
+        assert 0 < stats["completed"] < stats["planned"]
+        assert stats["reconnects"] == 0
+        assert report["drained_clean"] == 1
+
     def test_loadgen_cli_memory_mode(self, capsys):
         from repro.serve.loadgen import main
 
@@ -310,6 +396,8 @@ class TestObservability:
         from repro.obs.registry import METRICS
 
         was_enabled = METRICS.enabled
+        # With REPRO_OBS=1 the earlier tests counted into it too.
+        METRICS.reset()
         METRICS.enable()
         try:
             yield METRICS

@@ -5,12 +5,16 @@ Two layers, two contracts:
 - **frames** (``encode_frame``/``decode_frame``): any single-bit flip
   and any truncation raises a typed :class:`WireDecodeError` — the CRC
   (with the bit length folded in) guarantees it. Clean frames decode
-  back to the exact line.
+  back to the exact line. ``verify_frame``, the check without the
+  token parse that the served client runs, rejects every flip too:
+  exhaustively every 1-, 2- and 3-bit flip on CRC-16 frames.
 - **bare payloads** (``decode_payload``): no CRC, so corrupted bits
   may parse — but the decoder must either raise a *typed* error or
   return a well-formed :class:`DecodedPayload`; it must never escape
   with an untyped ``ValueError``/``IndexError``/``struct.error``.
 """
+
+import itertools
 
 import pytest
 
@@ -19,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.setassoc import LineId
 from repro.compression.registry import make_engine
-from repro.core.errors import DecompressionError, WireDecodeError
+from repro.core.errors import DecompressionError, SequenceError, WireDecodeError
 from repro.core.payload import Payload, PayloadKind
 from repro.link.wire import (
     WireFormat,
@@ -27,7 +31,9 @@ from repro.link.wire import (
     decode_payload,
     encode_frame,
     frame_crc,
+    verify_frame,
 )
+from repro.trace.stream import WorkloadModel
 from repro.util.words import words_to_bytes
 
 FMT = WireFormat()
@@ -108,6 +114,8 @@ class TestFrameFuzz:
         damaged = flip_bit(frame, int(where * bits))
         with pytest.raises(WireDecodeError):
             decode_frame(damaged, bits, engine, FMT, crc_bits=crc_bits)
+        with pytest.raises(WireDecodeError):
+            verify_frame(damaged, bits, crc_bits=crc_bits)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -145,6 +153,11 @@ class TestFrameFuzz:
             frame, bits, engine, FMT, crc_bits=crc_bits, expected_seq=seq
         )
         assert got_seq == seq
+        assert verify_frame(frame, bits, crc_bits=crc_bits, expected_seq=seq) == seq
+        with pytest.raises(SequenceError):
+            verify_frame(
+                frame, bits, crc_bits=crc_bits, expected_seq=(seq + 1) % 16
+            )
         assert decoded.kind is payload.kind
         assert decoded.remote_lids == payload.remote_lids
         line = words_to_bytes(words)
@@ -157,6 +170,47 @@ class TestFrameFuzz:
         else:
             decoder.reset()
             assert decoder.decompress(decoded.block) == line
+
+
+def lbm_frames(count=4):
+    """``{bits: (seq, frame)}``: the first *count* distinct-size CRC-16
+    LBE frames built from a seeded lbm stream's written lines, with and
+    without a reference."""
+    stream = WorkloadModel("lbm", seed=0x1B).accesses(200, stream_id=0)
+    writes = (access for access in stream if access.write_data is not None)
+    frames = {}
+    for seq, access in enumerate(writes):
+        for refcount in (0, 1):
+            payload = build_payload("lbe", access.write_data, refcount)
+            writer = encode_frame(payload, FMT, "lbe", seq=seq % 16)
+            frames.setdefault(writer.bit_count, (seq % 16, writer.getvalue()))
+            if len(frames) == count:
+                return frames
+    raise AssertionError(f"lbm stream gave {len(frames)} frame sizes")
+
+
+class TestVerifyFrameExhaustive:
+    def test_every_one_two_and_three_bit_flip_is_rejected(self):
+        # CRC-16/CCITT's generator is (x+1)·p(x) with p primitive of
+        # degree 15: the (x+1) factor catches every odd-weight error,
+        # and p's period (32767) exceeds these frames, so no error of
+        # weight 2 divides it either. No token parse is needed.
+        checked, escapes = 0, []
+        for bits, (seq, frame) in lbm_frames().items():
+            assert verify_frame(frame, bits, expected_seq=seq) == seq
+            for flips in (1, 2, 3):
+                for positions in itertools.combinations(range(bits), flips):
+                    damaged = bytearray(frame)
+                    for bit in positions:
+                        damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+                    checked += 1
+                    try:
+                        verify_frame(bytes(damaged), bits)
+                    except WireDecodeError:
+                        continue
+                    escapes.append((bits, positions))
+        assert checked > 50_000
+        assert escapes == []
 
 
 def table_crc(data, bits, width):
