@@ -1,10 +1,11 @@
 """§VI-D (text) — bit-toggle reduction on unscrambled links.
 
-CABLE reduces bit toggles by 30.2% on average in the paper (16.9%
-less than CPACK's reduction... i.e. CPACK reduces less). Fewer flits
-mean fewer transitions even though compressed bits are denser; this
-experiment serializes real payload bit streams and counts transitions
-on the 16-bit bus.
+CABLE reduces bit toggles by 30.2% on average in the paper; CPACK's
+reduction is 16.9% smaller. Fewer flits mean fewer transitions even
+though compressed bits are denser. Each run counts transitions on the
+16-bit bus over the exact bits its link leg put on the wire
+(:meth:`repro.sim.leg.LinkLeg.wire_bits`), the bits its flits are
+charged for.
 """
 
 from __future__ import annotations

@@ -6,19 +6,18 @@ value between consecutive flits. Compression reduces the flit count
 but raises entropy per flit, so the net effect must be measured, which
 is what the paper's 30.2% toggle-reduction claim is about.
 
-This module serializes payloads to real bit streams (token-exact for
-every engine, through the wire's token codecs), cuts them into flits,
-and counts transitions.
+This module cuts a serialized bit stream into flits and counts
+transitions. It serializes nothing itself: a simulator hands it the
+bits its link leg wrote (:meth:`repro.sim.leg.LinkLeg.wire_bits`,
+through :mod:`repro.link.wire`), the same bits the link is charged
+for.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.compression.base import CompressedBlock
-from repro.core.payload import FLAG_BITS, Payload, PayloadKind, REFCOUNT_BITS
-from repro.link.wire import encode_diff
-from repro.util.bits import BitWriter, bits_for
+from repro.util.bits import BitWriter
 from repro.util.kernels import count_toggles as _count_toggles_kernel
 
 
@@ -47,38 +46,6 @@ def count_toggles(flits: Iterable[int], previous: int = 0) -> int:
     return _count_toggles_kernel(flits, previous)
 
 
-def _diff_width(block: CompressedBlock) -> int:
-    """The DIFF's variable field width, recovered from the tokens: the
-    largest copy offset or dictionary index, floored at 6 bits (LBE),
-    4 (CPACK) or 1 (ORACLE); 0 for the fixed-width engines."""
-    algorithm, tokens = block.algorithm, block.tokens
-    if algorithm.startswith("cpack"):
-        largest = max(
-            (t[1] for t in tokens if t[0] in ("mmmm", "mmxx", "mmmx")), default=0
-        )
-        return max(4, bits_for(largest + 1))
-    if algorithm.startswith(("lbe", "oracle")):
-        largest = max((t[1] for t in tokens if t[0] == "copy"), default=0)
-        return max(6 if algorithm.startswith("lbe") else 1, bits_for(largest + 1))
-    return 0
-
-
-def payload_bitstream(payload: Payload) -> BitWriter:
-    """Serialize a payload (header, pointers, DIFF) to real bits."""
-    writer = BitWriter()
-    if payload.kind is PayloadKind.UNCOMPRESSED:
-        writer.write(0, FLAG_BITS)
-        writer.write_bytes(payload.raw)
-        return writer
-    writer.write(1, FLAG_BITS)
-    writer.write(len(payload.remote_lids), REFCOUNT_BITS)
-    for lid in payload.remote_lids:
-        writer.write(int(lid) & ((1 << payload.remotelid_bits) - 1), payload.remotelid_bits)
-    block = payload.block
-    encode_diff(block.algorithm, block.tokens, writer, _diff_width(block))
-    return writer
-
-
 class ToggleCounter:
     """Running toggle count over one link direction."""
 
@@ -94,9 +61,6 @@ class ToggleCounter:
         self.flits += len(flits)
         if flits:
             self._last_flit = flits[-1]
-
-    def record_payload(self, payload: Payload) -> None:
-        self.record_bits(payload_bitstream(payload))
 
     def record_raw(self, line: bytes) -> None:
         writer = BitWriter()

@@ -1,11 +1,13 @@
 """Bit-exact wire codec for CABLE payloads.
 
-:mod:`repro.link.toggles` serializes payloads for toggle statistics;
-this module goes further: every engine's token stream has an *exact*
-bit-level encoder **and parser**, so a payload can be flattened to
-real bits and reconstructed on the far side with nothing but the bits,
-the link's negotiated configuration and the receiver's cache — the
-full production path.
+Every engine's token stream has an *exact* bit-level encoder **and
+parser**, so a payload can be flattened to real bits and reconstructed
+on the far side with nothing but the bits, the link's negotiated
+configuration and the receiver's cache — the full production path.
+This is the one serializer: the framed link sends what
+:func:`encode_payload` writes, and the §VI-D toggle count
+(:mod:`repro.link.toggles`) counts the bits a simulated link leg
+(:meth:`repro.sim.leg.LinkLeg.wire_bits`) writes through it.
 
 Field widths must be derivable by the receiver, so they depend only on
 negotiated configuration plus on-wire fields (the 2-bit reference
@@ -75,8 +77,9 @@ class WireFormat:
     cpack_entries: int = 16
     #: LBE stream-window bytes for refcount-0 payloads. CABLE's
     #: no-reference path compresses with an *empty* temporary window
-    #: (0, the default); a stream-LBE deployment would negotiate its
-    #: persistent window size here (e.g. 256).
+    #: (0, the default); a stream-LBE link negotiates its persistent
+    #: window size here (256 for LBE256, see
+    #: :class:`repro.sim.leg.StreamCodec`).
     lbe_window_bytes: int = 0
 
     @property
@@ -383,17 +386,21 @@ def _oracle_dp_decode(reader: BitReader, off_bits: int, line_bytes: int):
     return tokens
 
 
-def encode_diff(algorithm: str, tokens, writer: BitWriter, width: int = 0) -> None:
-    """Write one block's DIFF tokens with *algorithm*'s token codec.
+def encode_block(
+    block: CompressedBlock, refcount: int, fmt: WireFormat, writer: BitWriter
+) -> None:
+    """Write one block's DIFF tokens with its engine's token codec, at
+    the widths *fmt* negotiates for a payload of *refcount* references
+    (a stream block is refcount 0).
 
-    *width* is the engine's one variable field — the LBE and ORACLE
-    copy offset, the CPACK dictionary index — and is ignored by the
-    fixed-width engines (zero, BDI, LZSS).
+    Only LBE's and ORACLE's copy offsets and CPACK's dictionary index
+    vary; zero, BDI and LZSS fields are fixed-width.
     """
+    algorithm, tokens = block.algorithm, block.tokens
     if algorithm.startswith("lbe"):
-        _lbe_encode(tokens, writer, width)
+        _lbe_encode(tokens, writer, fmt.lbe_offset_bits(refcount))
     elif algorithm.startswith("cpack"):
-        _cpack_encode(tokens, writer, width)
+        _cpack_encode(tokens, writer, fmt.cpack_index_bits(refcount))
     elif algorithm.startswith("zero"):
         _zero_encode(tokens, writer)
     elif algorithm.startswith("bdi"):
@@ -401,7 +408,7 @@ def encode_diff(algorithm: str, tokens, writer: BitWriter, width: int = 0) -> No
     elif algorithm.startswith("gzip"):
         _lzss_encode(tokens, writer)
     elif algorithm.startswith("oracle"):
-        _oracle_dp_encode(tokens, writer, width)
+        _oracle_dp_encode(tokens, writer, fmt.oracle_offset_bits(refcount))
     else:
         raise ValueError(f"no wire codec for engine {algorithm!r}")
 
@@ -410,8 +417,14 @@ def encode_diff(algorithm: str, tokens, writer: BitWriter, width: int = 0) -> No
 # Payload-level codec
 # ======================================================================
 
-def encode_payload(payload: Payload, fmt: WireFormat = WireFormat()) -> BitWriter:
-    """Flatten a payload to its exact wire bits."""
+def encode_payload(
+    payload: Payload, fmt: WireFormat = WireFormat(), engine_name: str = "lbe"
+) -> BitWriter:
+    """Flatten a payload to its exact wire bits.
+
+    Under the ORACLE engine the DIFF starts with the hybrid's
+    discriminator; the block's algorithm says which arm won.
+    """
     writer = BitWriter()
     if payload.kind is PayloadKind.UNCOMPRESSED:
         writer.write(0, FLAG_BITS)
@@ -423,31 +436,13 @@ def encode_payload(payload: Payload, fmt: WireFormat = WireFormat()) -> BitWrite
     for lid in payload.remote_lids:
         writer.write(int(lid) & ((1 << fmt.remotelid_bits) - 1), fmt.remotelid_bits)
     block = payload.block
-    algorithm = block.algorithm
-    if algorithm.startswith("lbe"):
-        width = fmt.lbe_offset_bits(refcount)
-    elif algorithm.startswith("cpack"):
-        width = fmt.cpack_index_bits(refcount)
-    elif algorithm.startswith("oracle"):
+    if engine_name.startswith("oracle"):
+        if block.algorithm.startswith("lbe"):
+            writer.write(1, 1)  # hybrid discriminator: 1 = LBE arm
+            _lbe_encode(block.tokens, writer, fmt.lbe_reference_offset_bits(refcount))
+            return writer
         writer.write(0, 1)  # hybrid discriminator: 0 = exact DP
-        width = fmt.oracle_offset_bits(refcount)
-    else:
-        width = 0
-    encode_diff(algorithm, block.tokens, writer, width)
-    return writer
-
-
-def encode_oracle_hybrid_lbe(payload: Payload, fmt: WireFormat = WireFormat()) -> BitWriter:
-    """The ORACLE hybrid's other arm: an LBE-encoded block under the
-    oracle discriminator (used when LBE beat the DP)."""
-    writer = BitWriter()
-    writer.write(1, FLAG_BITS)
-    refcount = len(payload.remote_lids)
-    writer.write(refcount, REFCOUNT_BITS)
-    for lid in payload.remote_lids:
-        writer.write(int(lid) & ((1 << fmt.remotelid_bits) - 1), fmt.remotelid_bits)
-    writer.write(1, 1)  # discriminator: 1 = LBE arm
-    _lbe_encode(payload.block.tokens, writer, fmt.lbe_reference_offset_bits(refcount))
+    encode_block(block, refcount, fmt, writer)
     return writer
 
 
@@ -620,25 +615,13 @@ def encode_frame(
     crc_bits: int = 16,
     seq_bits: int = FRAME_SEQ_BITS,
 ) -> BitWriter:
-    """Wrap a payload in a link-layer frame: ``seq | payload | crc``.
-
-    Handles the ORACLE hybrid's LBE arm transparently (the payload
-    records which arm won via its block's algorithm).
-    """
+    """Wrap a payload in a link-layer frame: ``seq | payload | crc``."""
     enabled = METRICS.enabled
     if enabled:
         t0 = perf_counter_ns()
-    if (
-        engine_name.startswith("oracle")
-        and payload.kind is not PayloadKind.UNCOMPRESSED
-        and payload.block.algorithm.startswith("lbe")
-    ):
-        body = encode_oracle_hybrid_lbe(payload, fmt)
-    else:
-        body = encode_payload(payload, fmt)
     writer = BitWriter()
     writer.write(seq & ((1 << seq_bits) - 1), seq_bits)
-    writer.extend(body)
+    writer.extend(encode_payload(payload, fmt, engine_name))
     crc = frame_crc(writer.getvalue(), writer.bit_count, crc_bits)
     writer.write(crc, crc_bits)
     if enabled:

@@ -18,7 +18,7 @@ Two pieces:
 from __future__ import annotations
 
 import asyncio
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.obs.registry import METRICS
 
@@ -92,8 +92,9 @@ class StreamSender:
     pump's ship records) leaves in one transport write. A batch that
     reaches ``max_batch_bytes`` is written at once. ``drain`` forces
     the batch out and awaits the transport; call it at protocol
-    checkpoints (end of a burst, before waiting on the peer). A
-    scheduled flush that finds the batch already written does nothing.
+    checkpoints (end of a burst, before waiting on the peer). Any
+    flush cancels the pass-end flush still scheduled, so a batch
+    written early leaves no callback behind to find it empty.
     """
 
     def __init__(self, writer, max_batch_bytes: int = 8192) -> None:
@@ -101,7 +102,8 @@ class StreamSender:
         self.max_batch_bytes = max_batch_bytes
         self._buffer = bytearray()
         self._batched = 0
-        self._scheduled = False
+        #: The pass-end flush ``send`` scheduled, until a flush runs.
+        self._pending: Optional[asyncio.Handle] = None
         self.stats = {"records": 0, "flushes": 0, "bytes": 0}
 
     def send(self, record: bytes) -> None:
@@ -111,13 +113,15 @@ class StreamSender:
         self.stats["records"] += 1
         if len(self._buffer) >= self.max_batch_bytes:
             self.flush()
-        elif not self._scheduled:
-            self._scheduled = True
-            asyncio.get_running_loop().call_soon(self.flush)
+        elif self._pending is None:
+            self._pending = asyncio.get_running_loop().call_soon(self.flush)
 
     def flush(self) -> None:
         """Write the pending batch now."""
-        self._scheduled = False
+        if self._pending is not None:
+            # A no-op when the scheduled callback is the caller.
+            self._pending.cancel()
+            self._pending = None
         if not self._buffer:
             return
         data = bytes(self._buffer)

@@ -13,7 +13,10 @@ The memory link (:mod:`repro.sim.memlink`), the coherence links
 
 :class:`LinkLeg` hands the host one record per fill and write-back;
 the host counts it into a :class:`LinkCounts` with
-:meth:`LinkCounts.add`.
+:meth:`LinkCounts.add`. :meth:`LinkLeg.wire_bits` serializes a record
+to the exact bits its ``size_bits`` charged, through
+:mod:`repro.link.wire`, for hosts that look at the bits themselves
+(the §VI-D toggle count).
 """
 
 from __future__ import annotations
@@ -22,11 +25,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.cache.hierarchy import InclusivePair, TransferEvent
+from repro.compression.base import CompressedBlock
+from repro.compression.lbe import LbeCompressor
 from repro.compression.lzss import LzssCompressor
 from repro.compression.registry import make_engine
 from repro.core.config import CableConfig
 from repro.core.encoder import CableLinkPair, DecompressionError
+from repro.core.payload import FLAG_BITS
 from repro.link.channel import LinkModel
+from repro.link.wire import WireFormat, encode_block, encode_payload, wire_format_for
+from repro.util.bits import BitWriter
 
 #: Stream link compressors: one codec state per direction.
 STREAM_SCHEMES = ("zero", "bdi", "cpack", "cpack128", "lbe256", "gzip")
@@ -57,7 +65,11 @@ class StreamCodec:
     """A stream link compressor on one direction, with verification."""
 
     def __init__(
-        self, scheme: str, verify: bool, window_bytes: Optional[int] = None
+        self,
+        scheme: str,
+        verify: bool,
+        window_bytes: Optional[int] = None,
+        line_bytes: int = 64,
     ) -> None:
         if window_bytes is not None:
             self.encoder = LzssCompressor(window_bytes=window_bytes)
@@ -66,20 +78,30 @@ class StreamCodec:
             self.encoder = make_engine(scheme)
             self.decoder = make_engine(scheme)
         self.verify = verify
+        #: The widths the encoder's blocks cross the wire at: its CPACK
+        #: dictionary and its LBE stream window.
+        encoder = self.encoder
+        self.fmt = WireFormat(
+            line_bytes=line_bytes,
+            cpack_entries=getattr(encoder, "entries", WireFormat.cpack_entries),
+            lbe_window_bytes=(
+                encoder.window_bytes if isinstance(encoder, LbeCompressor) else 0
+            ),
+        )
 
-    def transfer(self, data: bytes) -> int:
-        """Compress one line; returns payload bits (with 1-bit flag).
+    def transfer(self, data: bytes) -> Optional[CompressedBlock]:
+        """Compress one line; returns the block sent, or None when the
+        line crossed raw (a block no smaller than the line).
 
-        A block no smaller than the line is sent uncompressed. A
-        stateful decoder still decodes it, which keeps its window in
-        step with the encoder's.
+        A stateful decoder decodes every block, sent or not, which
+        keeps its window in step with the encoder's.
         """
         block = self.encoder.compress(data)
         if self.verify or self.decoder.stateful:
             decoded = self.decoder.decompress(block)
             if self.verify and decoded != data:
                 raise DecompressionError("stream codec round-trip failed")
-        return 1 + min(block.size_bits, len(data) * 8)
+        return block if block.size_bits < len(data) * 8 else None
 
 
 @dataclass
@@ -92,6 +114,8 @@ class LegRecord:
     data: bytes
     size_bits: int
     overhead_bits: int = 0
+    #: The stream block sent; None for a line that crossed raw.
+    block: Optional[CompressedBlock] = None
 
 
 @dataclass
@@ -177,9 +201,10 @@ class LinkLeg:
             return
         if scheme in STREAM_SCHEMES:
             window = window_bytes if scheme == "gzip" else None
+            line_bytes = pair.home.geometry.line_bytes
             self.codecs = {
-                "fill": StreamCodec(scheme, verify, window),
-                "writeback": StreamCodec(scheme, verify, window),
+                "fill": StreamCodec(scheme, verify, window, line_bytes),
+                "writeback": StreamCodec(scheme, verify, window, line_bytes),
             }
         pair.add_observer(self._observe)
 
@@ -187,11 +212,40 @@ class LinkLeg:
         if event.kind not in ("fill", "writeback"):
             return
         data = event.data
+        size_bits = len(data) * 8
+        block = None
+        if self.codecs is not None:
+            block = self.codecs[event.kind].transfer(data)
+            size_bits = FLAG_BITS + (size_bits if block is None else block.size_bits)
+        self._listener(
+            LegRecord(event.kind, event.line_addr, data, size_bits, block=block)
+        )
+
+    def wire_bits(self, record) -> BitWriter:
+        """The exact bits *record* put on the wire.
+
+        Cable writes its payload at the pair's current negotiated
+        format; a stream scheme writes the flag and its block, or the
+        flag and the raw line; raw writes the line alone. That is
+        ``record.size_bits`` bits for every scheme but two: gzip's
+        engine charges deflate-like Huffman costs where the wire's
+        LZSS codec is flat, and the ORACLE engine's charge leaves out
+        its hybrid discriminator bit.
+        """
+        if self.cable is not None:
+            config = self.cable.config
+            fmt = wire_format_for(config, self.cable.home_encoder.engine)
+            return encode_payload(record.payload, fmt, config.engine)
+        writer = BitWriter()
         if self.codecs is None:  # raw
-            size_bits = len(data) * 8
+            writer.write_bytes(record.data)
+        elif record.block is None:
+            writer.write(0, FLAG_BITS)
+            writer.write_bytes(record.data)
         else:
-            size_bits = self.codecs[event.kind].transfer(data)
-        self._listener(LegRecord(event.kind, event.line_addr, data, size_bits))
+            writer.write(1, FLAG_BITS)
+            encode_block(record.block, 0, self.codecs[record.direction].fmt, writer)
+        return writer
 
     def finish(self) -> None:
         """End-of-run hook: drain any cable resync backlog."""

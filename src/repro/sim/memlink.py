@@ -28,12 +28,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import InclusivePair
 from repro.cache.setassoc import CacheGeometry, SetAssociativeCache
-from repro.compression.registry import make_engine
 from repro.core.config import CableConfig
 from repro.core.encoder import CableLinkPair
 from repro.link.channel import LinkModel
 from repro.link.toggles import ToggleCounter
-from repro.core.payload import Payload, PayloadKind
 from repro.obs.registry import METRICS
 from repro.obs.tracer import trace
 from repro.sim.leg import LinkCounts, LinkLeg, gzip_window
@@ -203,37 +201,15 @@ class MemLinkSimulation:
         write-back with the cable's :class:`TransferRecord` (its
         overhead bits are its own framing and retransmissions, so
         recovery overhead lands on the transfer that caused it) or,
-        for the other schemes, the leg's record of the line."""
+        for the other schemes, the leg's record of the line. Toggles
+        count the bits the leg put on the wire for it."""
         if not self._counting:
             return
         self.result.add(self.config.link, record)
         self.result.per_transfer_bits.append(record.size_bits)
         if self._toggle_raw is not None:
             self._toggle_raw.record_raw(record.data)
-            self._toggle_comp.record_payload(self._wire_payload(record))
-
-    def _wire_payload(self, record) -> Payload:
-        """The payload whose bits toggle the compressed link's wires."""
-        scheme = self.config.scheme
-        if scheme == "cable":
-            return record.payload
-        if scheme == "raw":
-            return Payload(
-                kind=PayloadKind.UNCOMPRESSED,
-                line_addr=record.line_addr,
-                line_bytes=len(record.data),
-                raw=record.data,
-            )
-        # Stream schemes: a stateless re-encode (reusing the live
-        # encoder would disturb its window). The bit content differs
-        # slightly from the stream encoding but has the same entropy
-        # character.
-        return Payload(
-            kind=PayloadKind.NO_REFERENCE,
-            line_addr=record.line_addr,
-            line_bytes=len(record.data),
-            block=make_engine(scheme).compress(record.data),
-        )
+            self._toggle_comp.record_bits(self.leg.wire_bits(record))
 
     # ------------------------------------------------------------------
     # Driving

@@ -556,11 +556,32 @@ class TestStreamSender:
             sender.send(b"open")
             await sender.drain()
             assert writer.writes == [b"open"]
-            # The flush scheduled by send() finds an empty buffer.
             await asyncio.sleep(0)
             return writer.writes, sender.stats["flushes"]
 
         assert asyncio.run(scenario()) == ([b"open"], 1)
+
+    def test_drain_cancels_the_pass_end_flush(self):
+        # A batch written early must not leave send()'s scheduled flush
+        # behind to run later on an empty buffer.
+        buffered_at_flush = []
+
+        async def scenario():
+            sender = StreamSender(_RecordingWriter())
+            flush = sender.flush
+
+            def watched_flush():
+                buffered_at_flush.append(len(sender._buffer))
+                flush()
+
+            sender.flush = watched_flush
+            sender.send(b"open")
+            await sender.drain()
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+
+        asyncio.run(scenario())
+        assert buffered_at_flush == [len(b"open")]
 
     def test_later_pass_gets_its_own_write(self):
         async def scenario():

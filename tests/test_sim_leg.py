@@ -20,7 +20,7 @@ def gzip_windows(monkeypatch):
     """Windows the stream codecs are built with, in build order."""
     windows = []
 
-    def record(self, scheme, verify, window_bytes=None):
+    def record(self, scheme, verify, window_bytes=None, line_bytes=64):
         windows.append((scheme, window_bytes))
         raise _CodecBuilt
 

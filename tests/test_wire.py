@@ -11,7 +11,6 @@ from repro.link.wire import (
     DecodedPayload,
     WireFormat,
     decode_payload,
-    encode_oracle_hybrid_lbe,
     encode_payload,
 )
 from repro.util.words import words_to_bytes
@@ -20,11 +19,7 @@ FMT = WireFormat()
 
 
 def roundtrip(payload: Payload, engine_name: str) -> DecodedPayload:
-    writer = (
-        encode_oracle_hybrid_lbe(payload, FMT)
-        if engine_name == "oracle" and payload.block.algorithm.startswith("lbe")
-        else encode_payload(payload, FMT)
-    )
+    writer = encode_payload(payload, FMT, engine_name)
     return decode_payload(writer.getvalue(), writer.bit_count, engine_name, FMT)
 
 

@@ -30,6 +30,7 @@ from repro.link.wire import (
     decode_frame,
     decode_payload,
     encode_frame,
+    encode_payload,
     frame_crc,
     verify_frame,
 )
@@ -282,14 +283,9 @@ class TestBarePayloadFuzz:
     ):
         """Without a CRC the parser may be fooled, but it must fail in
         a typed way when it fails at all."""
-        from repro.link.wire import encode_oracle_hybrid_lbe, encode_payload
-
         line = words_to_bytes(words)
         payload = build_payload(engine, line, refcount)
-        if engine == "oracle" and payload.block.algorithm.startswith("lbe"):
-            writer = encode_oracle_hybrid_lbe(payload, FMT)
-        else:
-            writer = encode_payload(payload, FMT)
+        writer = encode_payload(payload, FMT, engine)
         data, bits = writer.getvalue(), writer.bit_count
         if truncate is not None and bits:
             bits = int(truncate * bits)
