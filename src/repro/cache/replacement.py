@@ -9,7 +9,7 @@ independence in tests.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.util.rng import make_rng
 
@@ -20,11 +20,10 @@ class ReplacementPolicy(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def victim(self, set_index: int, ways: Sequence, invalid_ways: List[int]) -> int:
-        """Pick a way to evict. ``ways`` holds the resident
-        :class:`~repro.cache.line.CacheLine` objects (or None);
-        ``invalid_ways`` lists the empty ways, which are always
-        preferred."""
+    def victim(self, set_index: int, ways: Sequence) -> int:
+        """Pick a way to evict from a full set. ``ways`` holds the
+        resident :class:`~repro.cache.line.CacheLine` objects; the
+        cache fills empty ways itself before it asks."""
 
     def touch(self, set_index: int, way: int) -> None:
         """Record an access (default: no state)."""
@@ -39,9 +38,7 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    def victim(self, set_index: int, ways: Sequence, invalid_ways: List[int]) -> int:
-        if invalid_ways:
-            return invalid_ways[0]
+    def victim(self, set_index: int, ways: Sequence) -> int:
         oldest_way = 0
         oldest_stamp = None
         for way, line in enumerate(ways):
@@ -59,9 +56,7 @@ class FifoPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._next: dict = {}
 
-    def victim(self, set_index: int, ways: Sequence, invalid_ways: List[int]) -> int:
-        if invalid_ways:
-            return invalid_ways[0]
+    def victim(self, set_index: int, ways: Sequence) -> int:
         way = self._next.get(set_index, 0)
         self._next[set_index] = (way + 1) % len(ways)
         return way
@@ -75,9 +70,7 @@ class RandomPolicy(ReplacementPolicy):
     def __init__(self, seed: int = 0) -> None:
         self._rng = make_rng(seed, "random-replacement")
 
-    def victim(self, set_index: int, ways: Sequence, invalid_ways: List[int]) -> int:
-        if invalid_ways:
-            return invalid_ways[0]
+    def victim(self, set_index: int, ways: Sequence) -> int:
         return self._rng.randrange(len(ways))
 
 

@@ -60,13 +60,6 @@ class CacheGeometry:
         """Width of a LineID (index + way) for this geometry."""
         return self._index_bits + self._way_bits
 
-    def index_of(self, line_addr: int) -> int:
-        """Set index for a line address (``byte_addr // line_bytes``)."""
-        return line_addr % self.sets
-
-    def tag_of(self, line_addr: int) -> int:
-        return line_addr  # full line address kept as tag; see CacheLine
-
 
 class LineId(int):
     """A packed (index, way) pair.
@@ -86,7 +79,13 @@ class LineId(int):
 
 
 class SetAssociativeCache:
-    """A set-associative cache storing :class:`CacheLine` objects."""
+    """A set-associative cache storing :class:`CacheLine` objects.
+
+    A line address's set is its low bits (``addr & (sets - 1)``; the
+    set count is a power of two) and its tag is the full line address
+    (see :class:`CacheLine`). The hot paths below do this arithmetic,
+    and LineID packing, inline with shifts and masks.
+    """
 
     def __init__(
         self,
@@ -97,7 +96,9 @@ class SetAssociativeCache:
         self.geometry = geometry
         self.policy = policy or LruPolicy()
         self.name = name
-        self._way_bits = geometry.way_bits  # hot in read_by_lineid
+        self._set_mask = geometry.sets - 1
+        self._way_bits = geometry.way_bits
+        self._way_mask = (1 << geometry.way_bits) - 1
         self._sets: List[List[Optional[CacheLine]]] = [
             [None] * geometry.ways for _ in range(geometry.sets)
         ]
@@ -109,16 +110,17 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
 
     def index_of(self, line_addr: int) -> int:
-        return self.geometry.index_of(line_addr)
+        """Set index for a line address."""
+        return line_addr & self._set_mask
 
     def lineid(self, index: int, way: int) -> LineId:
-        return LineId.pack(index, way, self._way_bits)
+        return LineId((index << self._way_bits) | way)
 
     def lineid_of_addr(self, line_addr: int) -> Optional[LineId]:
         hit = self.lookup(line_addr, touch=False)
         if hit is None:
             return None
-        return self.lineid(self.index_of(line_addr), hit[0])
+        return self.lineid(line_addr & self._set_mask, hit[0])
 
     # ------------------------------------------------------------------
     # Lookup / install / evict
@@ -126,10 +128,9 @@ class SetAssociativeCache:
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[Tuple[int, CacheLine]]:
         """Tag-check lookup; returns (way, line) on hit."""
-        index = self.index_of(line_addr)
-        tag = self.geometry.tag_of(line_addr)
+        index = line_addr & self._set_mask
         for way, line in enumerate(self._sets[index]):
-            if line is not None and line.tag == tag:
+            if line is not None and line.tag == line_addr:
                 if touch:
                     self._clock += 1
                     line.last_access = self._clock
@@ -147,12 +148,12 @@ class SetAssociativeCache:
         their requests (§II-C); the home cache uses it to track remote
         evictions without explicit notices.
         """
-        index = self.index_of(line_addr)
+        index = line_addr & self._set_mask
         ways = self._sets[index]
-        invalid = [w for w, l in enumerate(ways) if l is None]
-        if invalid:
-            return invalid[0]
-        return self.policy.victim(index, ways, invalid)
+        for way, line in enumerate(ways):
+            if line is None:
+                return way  # empty ways are always preferred
+        return self.policy.victim(index, ways)
 
     def install(
         self,
@@ -167,7 +168,7 @@ class SetAssociativeCache:
             raise ValueError(
                 f"line data is {len(data)}B, geometry wants {self.geometry.line_bytes}B"
             )
-        index = self.index_of(line_addr)
+        index = line_addr & self._set_mask
         if way is None:
             way = self.choose_victim_way(line_addr)
         if not 0 <= way < self.geometry.ways:
@@ -177,7 +178,7 @@ class SetAssociativeCache:
             self.stats["evictions"] += 1
         self._clock += 1
         self._sets[index][way] = CacheLine(
-            tag=self.geometry.tag_of(line_addr),
+            tag=line_addr,
             data=data,
             state=state,
             dirty=dirty,
@@ -192,12 +193,12 @@ class SetAssociativeCache:
         if hit is None:
             return None
         way, line = hit
-        self._sets[self.index_of(line_addr)][way] = None
+        self._sets[line_addr & self._set_mask][way] = None
         return line
 
     def evict_lineid(self, lid: LineId) -> Optional[CacheLine]:
         """Remove a line by LineID, returning it if present."""
-        index, way = lid.unpack(self.geometry.way_bits)
+        index, way = lid.unpack(self._way_bits)
         line = self._sets[index][way]
         self._sets[index][way] = None
         return line
@@ -207,11 +208,15 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
 
     def read_by_lineid(self, lid: LineId) -> Optional[CacheLine]:
-        index, way = lid.unpack(self._way_bits)
-        if not (0 <= index < self.geometry.sets and 0 <= way < self.geometry.ways):
+        index = lid >> self._way_bits
+        if not 0 <= index <= self._set_mask:
+            return None
+        ways = self._sets[index]
+        way = lid & self._way_mask
+        if way >= len(ways):
             return None
         self.stats["data_reads"] += 1
-        return self._sets[index][way]
+        return ways[way]
 
     def peek(self, index: int, way: int) -> Optional[CacheLine]:
         """Inspect without counting a data read (tests/diagnostics)."""

@@ -61,14 +61,19 @@ class EncodeOutcome:
 
 
 class _CableEndpoint:
-    """What both endpoints build alike over their own cache — the
-    signature extractor, a hash table sized for that cache, the
-    reference engine and the search pipeline — and the one compress
-    step they share (§III-C/E)."""
+    """What both endpoints build alike over their own cache — a hash
+    table sized for that cache, the reference engine and the search
+    pipeline over the pair's one signature extractor — and the one
+    compress step they share (§III-C/E)."""
 
-    def __init__(self, config: CableConfig, cache: SetAssociativeCache) -> None:
+    def __init__(
+        self,
+        config: CableConfig,
+        cache: SetAssociativeCache,
+        extractor: SignatureExtractor,
+    ) -> None:
         self.config = config
-        self.extractor = SignatureExtractor(config)
+        self.extractor = extractor
         self.hash_table = SignatureHashTable.sized_for(
             cache.geometry.lines,
             scale=config.hash_table_scale,
@@ -126,10 +131,11 @@ class CableHomeEncoder(_CableEndpoint):
         config: CableConfig,
         home_cache: SetAssociativeCache,
         remote_geometry,
+        extractor: SignatureExtractor,
     ) -> None:
         self.home_cache = home_cache
         self.wmt = WayMapTable(home_cache.geometry, remote_geometry)
-        super().__init__(config, home_cache)
+        super().__init__(config, home_cache, extractor)
         self.stats = {
             "encodes": 0,
             "with_references": 0,
@@ -275,9 +281,14 @@ class CableHomeEncoder(_CableEndpoint):
 class CableRemoteDecoder(_CableEndpoint):
     """Remote-side endpoint: decompress fills, compress write-backs."""
 
-    def __init__(self, config: CableConfig, remote_cache: SetAssociativeCache) -> None:
+    def __init__(
+        self,
+        config: CableConfig,
+        remote_cache: SetAssociativeCache,
+        extractor: SignatureExtractor,
+    ) -> None:
         self.remote_cache = remote_cache
-        super().__init__(config, remote_cache)
+        super().__init__(config, remote_cache, extractor)
         self.evict_buffer = EvictionBuffer(
             config.eviction_buffer_entries, config.eviction_buffer_policy
         )
@@ -419,10 +430,13 @@ class CableLinkPair:
         self.verify = verify
         self.enabled = enabled
         self.silent_evictions = silent_evictions
+        # Both endpoints hash with the same seed (§III-A), so one
+        # extractor, and its memo, serves the pair.
+        extractor = SignatureExtractor(config)
         self.home_encoder = CableHomeEncoder(
-            config, pair.home, pair.remote.geometry
+            config, pair.home, pair.remote.geometry, extractor
         )
-        self.remote_decoder = CableRemoteDecoder(config, pair.remote)
+        self.remote_decoder = CableRemoteDecoder(config, pair.remote, extractor)
         #: Called with every :class:`TransferRecord`, after the
         #: transfer's §III-F sync — the one way to observe transfers.
         self.listeners: List[Callable[[TransferRecord], None]] = []

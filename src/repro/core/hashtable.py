@@ -15,15 +15,15 @@ degradation this FIFO-per-bucket design provides.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cache.setassoc import LineId
 from repro.core.errors import SnapshotCorruptionError
 from repro.obs.registry import METRICS
 
-# Pre-bound registry mirrors. Lookups (≤16 per search) are left
-# unmirrored on purpose — the search pipeline publishes probe counts in
-# bulk — so the hot path pays nothing for observability here.
+# Pre-bound registry mirrors. Probes (≤16 signatures per search) are
+# left unmirrored on purpose — the search pipeline publishes probe
+# counts in bulk — so the hot path pays nothing for observability here.
 _CTR_INSERTS = METRICS.counter("hashtable.inserts")
 _CTR_BUCKET_EVICTIONS = METRICS.counter("hashtable.bucket_evictions")
 
@@ -71,6 +71,7 @@ class SignatureHashTable:
 
     def _slot(self, signature: int) -> int:
         # The signature is already an H3 hash; fold it onto the table.
+        # insert, remove and probe inline this fold.
         return (signature ^ (signature >> 16)) & self._mask
 
     # ------------------------------------------------------------------
@@ -84,19 +85,22 @@ class SignatureHashTable:
         the newest slot) rather than duplicated; otherwise the oldest
         occupant falls out FIFO-style.
         """
-        slot = self._slot(signature)
-        bucket = self._buckets.setdefault(slot, [])
-        if lid in bucket:
-            bucket.remove(lid)
-        bucket.append(lid)
+        slot = (signature ^ (signature >> 16)) & self._mask
+        bucket = self._buckets.get(slot)
         self.stats["inserts"] += 1
         if METRICS.enabled:
             _CTR_INSERTS.inc()
-        while len(bucket) > self.bucket_entries:
-            bucket.pop(0)
-            self.stats["bucket_evictions"] += 1
-            if METRICS.enabled:
-                _CTR_BUCKET_EVICTIONS.inc()
+        if bucket is None:
+            self._buckets[slot] = [lid]
+        else:
+            if lid in bucket:
+                bucket.remove(lid)
+            bucket.append(lid)
+            while len(bucket) > self.bucket_entries:
+                bucket.pop(0)
+                self.stats["bucket_evictions"] += 1
+                if METRICS.enabled:
+                    _CTR_BUCKET_EVICTIONS.inc()
         if self.journal is not None:
             self.journal("hash_insert", signature, int(lid))
 
@@ -106,8 +110,7 @@ class SignatureHashTable:
         Returns True when an entry was actually removed. A miss is
         normal — the entry may have aged out of the bucket already.
         """
-        slot = self._slot(signature)
-        bucket = self._buckets.get(slot)
+        bucket = self._buckets.get((signature ^ (signature >> 16)) & self._mask)
         if bucket and lid in bucket:
             bucket.remove(lid)
             self.stats["removals"] += 1
@@ -153,15 +156,27 @@ class SignatureHashTable:
     # Lookup
     # ------------------------------------------------------------------
 
-    def lookup(self, signature: int) -> Tuple[LineId, ...]:
-        """All candidate LineIDs in *signature*'s bucket (maybe stale,
-        maybe collided — the search pipeline verifies)."""
-        self.stats["lookups"] += 1
-        bucket = self._buckets.get(self._slot(signature))
-        if bucket:
-            self.stats["hits"] += 1
-            return tuple(bucket)
-        return ()
+    def probe(
+        self, signatures: Sequence[int], exclude: Optional[LineId] = None
+    ) -> Dict[LineId, int]:
+        """Probe every signature's bucket; returns LineID → how many
+        probes returned it, in first-probed order, leaving out
+        *exclude*. Candidates may be stale or collided — the search
+        pipeline verifies."""
+        buckets = self._buckets
+        mask = self._mask
+        counts: Dict[LineId, int] = {}
+        hits = 0
+        for signature in signatures:
+            bucket = buckets.get((signature ^ (signature >> 16)) & mask)
+            if bucket:
+                hits += 1
+                for lid in bucket:
+                    if lid != exclude:
+                        counts[lid] = counts.get(lid, 0) + 1
+        self.stats["lookups"] += len(signatures)
+        self.stats["hits"] += hits
+        return counts
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self._buckets.values())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.setassoc import LineId, SetAssociativeCache
 from repro.core.config import CableConfig
@@ -165,20 +165,14 @@ class SearchPipeline:
         if not signatures:
             return result
 
-        # Probe + pre-rank by duplication count (step ③ of Fig 8).
-        counts: Dict[LineId, int] = {}
-        order: Dict[LineId, int] = {}
-        for signature in signatures:
-            for lid in self.hash_table.lookup(signature):
-                if exclude is not None and lid == exclude:
-                    continue
-                counts[lid] = counts.get(lid, 0) + 1
-                order.setdefault(lid, len(order))
+        # Probe + pre-rank by duplication count (step ③ of Fig 8). The
+        # sort is stable, so ties keep first-probed order.
+        counts = self.hash_table.probe(signatures, exclude)
         result.candidates_probed = len(counts)
         if enabled:
             t2 = perf_counter_ns()
             self._stage_probe.observe(t2 - t1)
-        top = sorted(counts, key=lambda lid: (-counts[lid], order[lid]))
+        top = sorted(counts, key=counts.__getitem__, reverse=True)
         top = top[: self.config.data_access_count]
         if enabled:
             t3 = perf_counter_ns()

@@ -14,33 +14,43 @@ The extraction rules from the paper:
 - Words hash through H3 (Carter & Wegman), the same simple, hardware-
   friendly universal hash the authors implemented in OpenPiton.
 
-Both extraction entry points are memoized per line contents: the same
-immutable line is indexed on fill, searched on encode, and re-hashed on
-every invalidation, so the per-line work is paid once. The caches are
-per-extractor (they depend on the hash seed, the offsets and the
-trivial threshold) and bounded first-in, first-out: when a memo holds
-``_SIGNATURE_CACHE_SIZE`` (8,192) lines, the oldest-inserted half is
-dropped, and a hit never refreshes an entry.
+Both rules read the same hashed words, so one pass per line serves
+them: it hashes each non-trivial word once and applies the search rule
+and the index rule to that row. The pass is memoized per line contents
+as the pair ``(search_sigs, index_sigs)`` of tuples: the same immutable
+line is indexed on fill, searched on encode and re-hashed on every
+invalidation, at both endpoints — a :class:`~repro.core.encoder.CableLinkPair`
+hands one extractor to both, since they hash with the same seed. The
+memo depends on the hash seed, the offsets and the trivial threshold,
+so it lives on the extractor, bounded first-in, first-out: when it
+holds ``_SIGNATURE_CACHE_SIZE`` (8,192) lines, the oldest-inserted half
+is dropped, and a hit never refreshes an entry.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CableConfig
 from repro.util.kernels import (
     BatchLines,
     batch_backend,
-    get_numpy,
     line_words,
     popcount32,
     trivial_mask,
 )
 from repro.util.rng import make_rng
 
-#: Bound on the per-extractor signature memo caches.
+#: Bound on the per-extractor signature memo.
 _SIGNATURE_CACHE_SIZE = 8192
+
+#: Config fields the extraction rules read; changing one invalidates
+#: every memoized line.
+_RULE_FIELDS = ("signature_offsets", "signatures_per_line", "trivial_threshold_bits")
+
+#: One line's ``(search_sigs, index_sigs)``.
+Signatures = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class H3Hash:
@@ -63,11 +73,6 @@ class H3Hash:
         self._tables: Tuple[Tuple[int, ...], ...] = tuple(
             self._build_table(byte_pos) for byte_pos in range(4)
         )
-        # Numpy mirror of the byte tables for whole-matrix hashing.
-        np = get_numpy()
-        self._np_tables = (
-            np.array(self._tables, dtype=np.uint32) if np is not None else None
-        )
 
     def _build_table(self, byte_pos: int) -> Tuple[int, ...]:
         """XOR-fold the 8 matrix rows of one input byte over all 256
@@ -89,20 +94,6 @@ class H3Hash:
             ^ tables[3][word >> 24]
         )
 
-    def hash_matrix(self, words):
-        """Hash a whole uint32 numpy matrix of words at once.
-
-        Same four-table XOR as :meth:`__call__`, lifted to the array:
-        every element of the result equals ``self(int(word))``.
-        """
-        tables = self._np_tables
-        return (
-            tables[0][words & 0xFF]
-            ^ tables[1][(words >> 8) & 0xFF]
-            ^ tables[2][(words >> 16) & 0xFF]
-            ^ tables[3][words >> 24]
-        )
-
     def hash_bitwise(self, word: int) -> int:
         """The original bit-serial H3 walk (reference implementation)."""
         result = 0
@@ -122,183 +113,108 @@ class SignatureExtractor:
     def __init__(self, config: CableConfig) -> None:
         self.config = config
         self.hash = H3Hash(config.hash_seed)
-        # Per-instance memoization: results depend on this extractor's
-        # seed/offsets/threshold, so the caches cannot be module-level.
-        # Plain dicts rather than lru_cache so the *batched* extraction
-        # below can fill them wholesale; bounded by dropping the oldest
-        # half (insertion order) when full.
-        self._index_memo: Dict[bytes, Tuple[int, ...]] = {}
-        self._search_memo: Dict[bytes, Tuple[int, ...]] = {}
+        # line -> (search_sigs, index_sigs). A plain dict rather than
+        # lru_cache so warm_batch can fill it wholesale.
+        self._memo: Dict[bytes, Signatures] = {}
 
-    @staticmethod
-    def _remember(
-        memo: Dict[bytes, Tuple[int, ...]], line: bytes, sigs: Tuple[int, ...]
-    ) -> None:
+    def rebind(self, config: CableConfig) -> None:
+        """Extract under *config* from now on, forgetting every
+        memoized line if the rules it was extracted under changed."""
+        if any(getattr(config, f) != getattr(self.config, f) for f in _RULE_FIELDS):
+            self._memo.clear()
+        self.config = config
+
+    def _remember(self, line: bytes, sigs: Signatures) -> None:
+        memo = self._memo
         if len(memo) >= _SIGNATURE_CACHE_SIZE:
-            for stale in list(islice(iter(memo), _SIGNATURE_CACHE_SIZE // 2)):
+            for stale in list(islice(memo, _SIGNATURE_CACHE_SIZE // 2)):
                 del memo[stale]
         memo[line] = sigs
 
-    # ------------------------------------------------------------------
-    # Index-time: the signatures inserted into the hash table
-    # ------------------------------------------------------------------
+    def _extract(self, line: bytes) -> Signatures:
+        sigs = self._extract_row(
+            line_words(line), trivial_mask(line, self.config.trivial_threshold_bits)
+        )
+        self._remember(line, sigs)
+        return sigs
 
-    def index_signatures(self, line: bytes) -> List[int]:
-        """Signatures to insert for *line* (deduplicated, order kept).
+    def _extract_row(self, words: Sequence[int], tmask: int) -> Signatures:
+        """Both rules over one line's words (bit *i* of *tmask* set when
+        word *i* is trivial), hashing each non-trivial word once.
 
-        Each configured offset advances word-by-word past trivial words
-        (wrapping within the line); a fully-trivial line yields no
-        signatures and is simply not indexed — zero lines compress
-        perfectly without references anyway.
+        Search: one signature per distinct non-trivial word, line order.
+        Index: each configured offset advances word-by-word past trivial
+        words (wrapping within the line); duplicates are dropped, so a
+        line with fewer distinct non-trivial words than offsets
+        under-fills — the "often much less" remark in §III-C. A fully
+        trivial line yields no signatures and is simply not indexed:
+        zero lines compress perfectly without references anyway.
         """
-        sigs = self._index_memo.get(line)
-        if sigs is None:
-            sigs = self._index_signatures_uncached(line)
-            self._remember(self._index_memo, line, sigs)
-        return list(sigs)
-
-    def _index_signatures_uncached(self, line: bytes) -> Tuple[int, ...]:
-        words = line_words(line)
-        tmask = trivial_mask(line, self.config.trivial_threshold_bits)
-        signatures: List[int] = []
-        seen = set()
-        count = len(words)
-        for offset in self.config.signature_offsets[: self.config.signatures_per_line]:
-            start = offset // 4
-            chosen = None
-            for step in range(count):
-                index = (start + step) % count
-                if not (tmask >> index) & 1:
-                    chosen = words[index]
-                    break
-            if chosen is None:
-                continue
-            sig = self.hash(chosen)
-            if sig not in seen:
-                seen.add(sig)
-                signatures.append(sig)
-        # If the line has fewer distinct non-trivial words than offsets
-        # the dedup above may under-fill; that is fine and matches the
-        # "often much less" remark in §III-C.
-        return tuple(signatures)
-
-    # ------------------------------------------------------------------
-    # Search-time: all candidate signatures of the requested line
-    # ------------------------------------------------------------------
-
-    def search_signatures(self, line: bytes) -> List[int]:
-        """One signature per distinct non-trivial word, line order."""
-        sigs = self._search_memo.get(line)
-        if sigs is None:
-            sigs = self._search_signatures_uncached(line)
-            self._remember(self._search_memo, line, sigs)
-        return list(sigs)
-
-    def _search_signatures_uncached(self, line: bytes) -> Tuple[int, ...]:
-        words = line_words(line)
-        tmask = trivial_mask(line, self.config.trivial_threshold_bits)
         hash_word = self.hash
-        signatures: List[int] = []
-        seen = set()
-        if tmask == 0:
-            candidates = words
-        else:
-            candidates = [
-                word for i, word in enumerate(words) if not (tmask >> i) & 1
+        row: List[Optional[int]]
+        if tmask:
+            row = [
+                None if (tmask >> i) & 1 else hash_word(word)
+                for i, word in enumerate(words)
             ]
-        for word in candidates:
-            sig = hash_word(word)
-            if sig not in seen:
-                seen.add(sig)
-                signatures.append(sig)
-        return tuple(signatures)
+            search = tuple(dict.fromkeys(sig for sig in row if sig is not None))
+        else:
+            row = [hash_word(word) for word in words]
+            search = tuple(dict.fromkeys(row))
+        if not search:
+            return search, search
+        config = self.config
+        count = len(row)
+        chosen = []
+        for offset in config.signature_offsets[: config.signatures_per_line]:
+            index = offset // 4 % count
+            while row[index] is None:
+                index = (index + 1) % count
+            chosen.append(row[index])
+        return search, tuple(dict.fromkeys(chosen))
+
+    def index_signatures(self, line: bytes) -> Tuple[int, ...]:
+        """Signatures to insert for *line* (deduplicated, order kept)."""
+        sigs = self._memo.get(line)
+        if sigs is None:
+            sigs = self._extract(line)
+        return sigs[1]
+
+    def search_signatures(self, line: bytes) -> Tuple[int, ...]:
+        """One signature per distinct non-trivial word, line order."""
+        sigs = self._memo.get(line)
+        if sigs is None:
+            sigs = self._extract(line)
+        return sigs[0]
 
     # ------------------------------------------------------------------
     # Block warm (whole blocks of lines at once)
     # ------------------------------------------------------------------
 
     def warm_batch(self, lines: Sequence[bytes]) -> int:
-        """Precompute index- and search-time memo entries for *lines*.
+        """Memoize the signatures of *lines* before they are used.
 
         The serve worker's block warm (``ServeConfig.drain_block``)
         calls this with the write payloads of a drained block:
         extraction is pure per-line work (no encoder state involved),
-        so it can be paid in one vectorized pass before the scalar
-        pipeline consumes the lines. Returns how many distinct lines
-        were newly extracted.
+        so it can be paid up front. Equal-length blocks on the numpy
+        leg build their word rows and trivial masks in one
+        :class:`BatchLines` pass; either way every row goes through the
+        same :meth:`_extract_row` as a scalar miss. Returns how many
+        distinct lines were newly extracted.
         """
-        fresh = [
-            line
-            for line in dict.fromkeys(lines)
-            if line not in self._search_memo or line not in self._index_memo
-        ]
-        if fresh:
-            self._extract_block(fresh)
-        return len(fresh)
-
-    def _extract_block(self, unique_lines: List[bytes]) -> None:
-        """Memoize (index_sigs, search_sigs) for distinct lines.
-
-        Equal-length blocks share one :class:`BatchLines` hash pass
-        that feeds both extraction rules; mixed lengths (or the pure
-        kernel leg) fall back to the scalar extractors per line.
-        """
-        vectorized = (
-            batch_backend() == "numpy"
-            and len({len(line) for line in unique_lines}) == 1
-        )
-        if vectorized:
-            batch = BatchLines(
-                unique_lines, self.config.trivial_threshold_bits, "numpy"
-            )
-            rows = self.hash.hash_matrix(batch.words).tolist()
-            for line, row, tmask in zip(unique_lines, rows, batch.tmasks):
-                self._remember(
-                    self._search_memo, line, self._search_from_row(row, tmask)
-                )
-                self._remember(
-                    self._index_memo, line, self._index_from_row(row, tmask)
-                )
+        fresh = [line for line in dict.fromkeys(lines) if line not in self._memo]
+        if not fresh:
+            return 0
+        threshold = self.config.trivial_threshold_bits
+        if batch_backend() == "numpy" and len({len(line) for line in fresh}) == 1:
+            batch = BatchLines(fresh, threshold)
+            rows = zip(batch.words.tolist(), batch.tmasks)
         else:
-            for line in unique_lines:
-                self._remember(
-                    self._search_memo, line, self._search_signatures_uncached(line)
-                )
-                self._remember(
-                    self._index_memo, line, self._index_signatures_uncached(line)
-                )
-
-    def _search_from_row(self, row: List[int], tmask: int) -> Tuple[int, ...]:
-        """Search-rule dedup over a pre-hashed word row."""
-        signatures: List[int] = []
-        seen = set()
-        for i, sig in enumerate(row):
-            if (tmask >> i) & 1:
-                continue
-            if sig not in seen:
-                seen.add(sig)
-                signatures.append(sig)
-        return tuple(signatures)
-
-    def _index_from_row(self, row: List[int], tmask: int) -> Tuple[int, ...]:
-        """Index-rule offset walk over a pre-hashed word row."""
-        count = len(row)
-        signatures: List[int] = []
-        seen = set()
-        for offset in self.config.signature_offsets[: self.config.signatures_per_line]:
-            start = offset // 4
-            chosen = None
-            for step in range(count):
-                word_index = (start + step) % count
-                if not (tmask >> word_index) & 1:
-                    chosen = row[word_index]
-                    break
-            if chosen is None:
-                continue
-            if chosen not in seen:
-                seen.add(chosen)
-                signatures.append(chosen)
-        return tuple(signatures)
+            rows = ((line_words(line), trivial_mask(line, threshold)) for line in fresh)
+        for line, (words, tmask) in zip(fresh, rows):
+            self._remember(line, self._extract_row(words, tmask))
+        return len(fresh)
 
     def nontrivial_word_count(self, line: bytes) -> int:
         tmask = trivial_mask(line, self.config.trivial_threshold_bits)

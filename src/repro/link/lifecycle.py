@@ -52,10 +52,6 @@ class LinkLifecycle:
     #: (owned by :mod:`repro.tune.plan`); the rest is baked into
     #: construction and would need a rebuild, not a knob turn.
     _TUNABLE = TUNABLE_KNOBS - {"enabled"}
-    #: Fields whose change invalidates memoized *index* signatures.
-    _INDEX_MEMO_FIELDS = frozenset(
-        {"signature_offsets", "signatures_per_line", "trivial_threshold_bits"}
-    )
 
     def __init__(self, link) -> None:
         self.link = link
@@ -316,7 +312,8 @@ class LinkLifecycle:
         The single safe point for online tuning, called only at epoch
         boundaries. In order: flush the replica slot (its journal ends
         at a consistent pre-change point), rebind the config on both
-        endpoints and drop every config-derived memo, swap engines (and
+        endpoints and their shared extractor (which drops its memo when
+        the extraction rules change), swap engines (and
         the wire format), then re-shape and rebuild the hash tables if
         the geometry moved — journaling suspended, then
         :meth:`_rebaseline`.
@@ -337,14 +334,10 @@ class LinkLifecycle:
         if self.replica is not None:
             self.replica.pump(force=True)
         link.config = target
+        link.home_encoder.extractor.rebind(target)
         for endpoint in (link.home_encoder, link.remote_decoder):
             endpoint.config = target
-            endpoint.extractor.config = target
             endpoint.pipeline.config = target
-            if changed & self._INDEX_MEMO_FIELDS:
-                endpoint.extractor._index_memo.clear()
-            if "trivial_threshold_bits" in changed:
-                endpoint.extractor._search_memo.clear()
         if "engine" in changed:
             link.home_encoder.engine = make_reference_engine(target.engine)
             link.remote_decoder.engine = make_reference_engine(target.engine)

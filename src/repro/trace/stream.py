@@ -58,15 +58,30 @@ class WorkloadModel:
     ) -> None:
         if isinstance(profile_or_name, str):
             profile_or_name = get_profile(profile_or_name)
-        self.profile: BenchmarkProfile = profile_or_name
         self.seed = seed
         self.addr_base = addr_base
         #: Distinguishes replicated copies of the same program
         #: (SPECrate-style, Fig 15): same data-structure archetypes,
         #: different mutation streams.
         self.copy_id = copy_id
+        self.profile = profile_or_name
         self._archetypes: Dict[int, bytes] = {}
         self._written: Dict[int, bytes] = {}
+
+    @property
+    def profile(self) -> BenchmarkProfile:
+        return self._profile
+
+    @profile.setter
+    def profile(self, profile: BenchmarkProfile) -> None:
+        # What initial_content derives from the profile alone is
+        # derived here, once per profile: rescaling a model's footprint
+        # (multiprogram runs do) moves its family count.
+        self._profile = profile
+        self._family_count = profile.family_count
+        self._member_seed = stable_hash64(self.seed, profile.name, self.copy_id)
+        #: cluster -> its family, or -1 when it holds no family members.
+        self._cluster_family: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Memory content
@@ -101,19 +116,25 @@ class WorkloadModel:
         ``profile.cluster_lines`` contiguous lines, so one family's
         members form several scattered runs of similar lines — arrays
         of like objects locally, duplicated structures globally."""
+        profile = self._profile
         offset = line_addr - self.addr_base
-        cluster = offset // self.profile.cluster_lines
-        h = stable_hash64(self.seed, self.profile.name, "cluster", cluster)
-        if (h / _U64) < self.profile.family_weight:
-            family = h % self.profile.family_count
+        cluster = offset // profile.cluster_lines
+        family = self._cluster_family.get(cluster)
+        if family is None:
+            h = stable_hash64(self.seed, profile.name, "cluster", cluster)
+            family = (
+                h % self._family_count if (h / _U64) < profile.family_weight else -1
+            )
+            self._cluster_family[cluster] = family
+        if family >= 0:
             return family_member(
                 self._archetype(family),
-                stable_hash64(self.seed, self.profile.name, self.copy_id),
+                self._member_seed,
                 offset,
-                self.profile.mutation_words,
-                self.profile.shift_prob,
+                profile.mutation_words,
+                profile.shift_prob,
             )
-        rng = make_rng(self.seed, self.profile.name, self.copy_id, "pline", offset)
+        rng = make_rng(self.seed, profile.name, self.copy_id, "pline", offset)
         return self._pick_pattern(rng.random())(rng)
 
     def current_content(self, line_addr: int) -> bytes:

@@ -16,12 +16,16 @@ Setting the environment variable ``REPRO_PURE_PYTHON=1`` before import
 forces the pure-Python fallbacks everywhere — CI uses this to prove the
 fast and fallback paths produce identical results.
 
-The other half of the strategy is memoization: cache lines are
-immutable ``bytes`` and the same line is decoded, masked and hashed
-many times per simulation (encode, index, invalidate, re-encode...).
-:func:`line_words` and :func:`trivial_mask` therefore cache their
-results keyed on the line contents, bounded by an LRU so pathological
-traces cannot grow memory without limit.
+The other half of the strategy is memoization of per-*line* work:
+cache lines are immutable ``bytes`` and the same line is decoded and
+masked many times per simulation (encode, compress, index, invalidate,
+re-encode...). :func:`line_words` and :func:`trivial_mask` therefore
+cache their results keyed on the line contents, bounded by an LRU so
+pathological traces cannot grow memory without limit. Per-*pair* work
+is not memoized: a (line, candidate) cache of coverage bit vectors
+(:func:`line_match_mask`) hit under a third of its calls in the
+simulator and almost none on a served link, and its keys held evicted
+lines alive.
 """
 
 from __future__ import annotations
@@ -72,13 +76,6 @@ DATACLASS_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 #: Bound on the per-line memo caches. 8K 64-byte lines is ~0.5MB of
 #: keys — enough to cover a simulated LLC + L4 working set.
 _LINE_CACHE_SIZE = 8192
-
-#: Bound on the (line, candidate) pair cache. Pairs are the cross
-#: product of the working set with its search candidates, so this must
-#: sit well above _LINE_CACHE_SIZE or steady-state searches evict
-#: entries before revisiting them. Keys alias existing line objects
-#: (no copies), so the cost is pointers + small ints.
-_PAIR_CACHE_SIZE = 65536
 
 
 # ----------------------------------------------------------------------
@@ -199,19 +196,16 @@ def _line_match_mask_numpy(line_a: bytes, line_b: bytes) -> int:
     return int.from_bytes(_np.packbits(eq, bitorder="little").tobytes(), "little")
 
 
+#: CBV between two raw lines: bit *i* set when their i-th 32-bit words
+#: match exactly. The bytes-level fast path of
+#: :func:`repro.core.search.coverage_bit_vector`.
 if HAVE_NUMPY:
-    def _line_match_mask_impl(line_a: bytes, line_b: bytes) -> int:
+    def line_match_mask(line_a: bytes, line_b: bytes) -> int:
         if min(len(line_a), len(line_b)) >= _NUMPY_CUTOVER_BYTES:
             return _line_match_mask_numpy(line_a, line_b)
         return _line_match_mask_pure(line_a, line_b)
 else:
-    _line_match_mask_impl = _line_match_mask_pure
-
-#: CBV between two raw lines: bit *i* set when their i-th 32-bit words
-#: match exactly. The bytes-level fast path of
-#: :func:`repro.core.search.coverage_bit_vector`, memoized because a
-#: steady-state search re-meets the same (line, candidate) pairs.
-line_match_mask = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_line_match_mask_impl)
+    line_match_mask = _line_match_mask_pure
 
 
 # ----------------------------------------------------------------------
@@ -252,23 +246,13 @@ count_toggles = (
 # The per-line kernels above took the arithmetic off the profile; what
 # remains is per-line Python dispatch. The serve worker's block warm
 # (``ServeConfig.drain_block`` → ``SignatureExtractor.warm_batch``)
-# amortizes it across a *block* of queued write payloads whose bytes
-# are already known: one contiguous word matrix and one vectorized
-# trivial-mask pass (:class:`BatchLines`), hashed in one
-# ``H3Hash.hash_matrix`` call. ``BatchLines`` takes an optional
-# ``backend`` ("numpy" or "pure") so tests can pin either leg
-# in-process; the default follows the import-time selection (and hence
-# REPRO_PURE_PYTHON).
-
-
-def get_numpy():
-    """The numpy module when the fast paths are active, else None.
-
-    Batch call sites (the H3 hash matrix tables) route through this
-    instead of importing numpy themselves so the REPRO_PURE_PYTHON gate
-    stays in exactly one place.
-    """
-    return _np
+# amortizes the word decode and trivial masks across a *block* of
+# queued write payloads whose bytes are already known: one contiguous
+# word matrix and one vectorized trivial-mask pass (:class:`BatchLines`),
+# whose rows then take the extractor's one per-line pass.
+# ``BatchLines`` takes an optional ``backend`` ("numpy" or "pure") so
+# tests can pin either leg in-process; the default follows the
+# import-time selection (and hence REPRO_PURE_PYTHON).
 
 
 def batch_backend(override: "str | None" = None) -> str:

@@ -36,7 +36,9 @@ class TestGeometry:
 
     def test_index_wraps(self):
         geom = CacheGeometry(8 * 1024, 4)
-        assert geom.index_of(0) == geom.index_of(geom.sets)
+        cache = SetAssociativeCache(geom)
+        assert cache.index_of(0) == cache.index_of(geom.sets) == 0
+        assert cache.index_of(geom.sets + 3) == 3
 
 
 class TestLineId:
@@ -169,16 +171,16 @@ class TestReplacementPolicies:
     def test_fifo_round_robin(self):
         policy = FifoPolicy()
         ways = [object(), object()]
-        assert policy.victim(0, ways, []) == 0
-        assert policy.victim(0, ways, []) == 1
-        assert policy.victim(0, ways, []) == 0
+        assert policy.victim(0, ways) == 0
+        assert policy.victim(0, ways) == 1
+        assert policy.victim(0, ways) == 0
 
     def test_random_deterministic_by_seed(self):
         a = RandomPolicy(seed=3)
         b = RandomPolicy(seed=3)
         ways = [object()] * 8
-        assert [a.victim(0, ways, []) for _ in range(20)] == [
-            b.victim(0, ways, []) for _ in range(20)
+        assert [a.victim(0, ways) for _ in range(20)] == [
+            b.victim(0, ways) for _ in range(20)
         ]
 
 

@@ -254,13 +254,53 @@ def test_h3_is_linear_over_xor():
 # Memoized signature extraction
 # ----------------------------------------------------------------------
 
+
+def oracle_signatures(line, config):
+    """The two §III-A rules written out plainly, hashing bit-serially:
+    (search signatures, index signatures) of *line*."""
+    h3 = H3Hash(config.hash_seed)
+    words = bytes_to_words(line)
+    nontrivial = [
+        not is_trivial_word(word, config.trivial_threshold_bits) for word in words
+    ]
+    search = []
+    for word, keep in zip(words, nontrivial):
+        if keep and h3.hash_bitwise(word) not in search:
+            search.append(h3.hash_bitwise(word))
+    index = []
+    for offset in config.signature_offsets[: config.signatures_per_line]:
+        for step in range(len(words)):
+            position = (offset // 4 + step) % len(words)
+            if nontrivial[position]:
+                sig = h3.hash_bitwise(words[position])
+                if sig not in index:
+                    index.append(sig)
+                break
+    return tuple(search), tuple(index)
+
+
+#: Words for lines the rules have work on: values trivial at every
+#: threshold, values trivial only at 16 bits, a few repeated words and
+#: arbitrary ones (uniform bytes almost never give a trivial word).
+line_words_strategy = st.one_of(
+    st.integers(min_value=-16, max_value=15),
+    st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1),
+    st.sampled_from((0x12345678, 0xCAFED00D, 0x0BADF00D)),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+).map(lambda word: word & 0xFFFFFFFF)
+
 #: Blocks for ``warm_batch`` (the serve worker's block warm):
-#: equal-length blocks take its vectorized leg (BatchLines +
-#: ``H3Hash.hash_matrix``); appending one longer line forces the
-#: per-line scalar fallback.
+#: equal-length blocks take its vectorized leg (BatchLines word rows
+#: and trivial masks); appending one longer line forces the per-line
+#: scalar leg.
 equal_blocks = st.integers(min_value=1, max_value=130).flatmap(
     lambda words: st.lists(
-        st.binary(min_size=words * 4, max_size=words * 4),
+        st.one_of(
+            st.binary(min_size=words * 4, max_size=words * 4),
+            st.lists(line_words_strategy, min_size=words, max_size=words).map(
+                lambda values: struct.pack(f"<{len(values)}I", *values)
+            ),
+        ),
         min_size=1,
         max_size=12,
     )
@@ -285,27 +325,28 @@ extraction_configs = st.builds(
 @given(lines=warm_blocks, config=extraction_configs)
 @settings(max_examples=50, deadline=None)
 def test_memoized_extraction_matches_fresh(lines, config):
+    """The one-pass extraction, scalar or block-warmed, equals the
+    plain rules; the second ask of a line is served from the memo."""
     warm = SignatureExtractor(config)
     assert warm.warm_batch(lines) == len(set(lines))
     scalar = SignatureExtractor(config)
-    fresh = SignatureExtractor(config)
     for line in lines:
-        index = fresh.index_signatures(line)
-        search = fresh.search_signatures(line)
-        # Both memo entries the block warm wrote...
-        assert warm._index_memo[line] == tuple(index)
-        assert warm._search_memo[line] == tuple(search)
-        # ...and the ones the scalar extractors memoize on first use.
-        scalar.index_signatures(line)
+        search, index = oracle_signatures(line, config)
+        assert warm.search_signatures(line) == search
+        assert warm.index_signatures(line) == index
         assert scalar.index_signatures(line) == index
         assert scalar.search_signatures(line) == search
     assert warm.warm_batch(lines) == 0  # everything is memoized now
+    assert scalar.warm_batch(lines) == 0
 
 
 def test_extraction_returns_private_lists():
+    """Callers get the memo's own signatures, so they are immutable."""
     extractor = SignatureExtractor(CableConfig())
     line = struct.pack("<16I", *(0x01000000 + i for i in range(16)))
     first = extractor.search_signatures(line)
-    first.append(0xBAD)  # caller-side mutation must not poison the cache
-    assert extractor.search_signatures(line) != first
-    assert extractor.search_signatures(line) == first[:-1]
+    assert isinstance(first, tuple)
+    assert isinstance(extractor.index_signatures(line), tuple)
+    with pytest.raises(AttributeError):
+        first.append(0xBAD)
+    assert extractor.search_signatures(line) is first

@@ -56,9 +56,9 @@ class TestIndexSignatures:
         assert sigs[1] == extractor.hash(0xCAFED00D)  # offset 32 slid to word 10
 
     def test_all_trivial_line_yields_nothing(self, extractor):
-        assert extractor.index_signatures(b"\x00" * 64) == []
+        assert extractor.index_signatures(b"\x00" * 64) == ()
         line = words_to_bytes([3, 200, 0xFFFFFFFE] * 5 + [1])
-        assert extractor.index_signatures(line) == []
+        assert extractor.index_signatures(line) == ()
 
     def test_duplicate_words_deduplicate(self, extractor):
         line = words_to_bytes([0xABCD1234] * 16)
@@ -70,7 +70,7 @@ class TestIndexSignatures:
         words = [0] * 16
         words[1] = 0xDEADBEEF
         sigs = extractor.index_signatures(words_to_bytes(words))
-        assert sigs == [extractor.hash(0xDEADBEEF)]
+        assert sigs == (extractor.hash(0xDEADBEEF),)
 
 
 class TestSearchSignatures:
@@ -100,7 +100,7 @@ class TestSearchSignatures:
             assert indexed <= searched
 
     def test_zero_line_empty(self, extractor):
-        assert extractor.search_signatures(b"\x00" * 64) == []
+        assert extractor.search_signatures(b"\x00" * 64) == ()
 
     def test_nontrivial_count(self, extractor):
         line = words_to_bytes([0xDEADBEEF, 1, 0, 0x12345678] + [0] * 12)

@@ -205,3 +205,32 @@ def test_sim_reads_backing_once_per_l4_miss(monkeypatch):
     assert sim.pair.stats["home_misses"] > 0
     assert calls["peek"] == sim.backing.stats["reads"] == sim.pair.stats["home_misses"]
     assert calls["warm_batch"] == 0
+
+
+def test_signatures_extracted_once_per_line_per_pair(monkeypatch):
+    """A line's signatures are a pure function of its bytes (§III-A)
+    and both endpoints hash with one seed, so the pair shares one
+    extractor and runs one extraction pass per distinct line: no
+    second pass for the other rule or the other endpoint."""
+    from repro.core.signature import SignatureExtractor
+
+    passes = []
+    extract_row = SignatureExtractor._extract_row
+
+    def counting_extract_row(self, words, tmask):
+        passes.append(self)
+        return extract_row(self, words, tmask)
+
+    monkeypatch.setattr(SignatureExtractor, "_extract_row", counting_extract_row)
+    sim = MemLinkSimulation(
+        "omnetpp",
+        MemLinkConfig(
+            accesses=2000, llc_bytes=32 * 1024, l4_bytes=128 * 1024, ws_scale=0.03125
+        ),
+    )
+    sim.run()
+    extractor = sim.cable.home_encoder.extractor
+    assert extractor is sim.cable.remote_decoder.extractor
+    # At this size the memo never evicts, so every pass left one entry.
+    assert passes and all(owner is extractor for owner in passes)
+    assert len(passes) == len(extractor._memo)
